@@ -1,4 +1,4 @@
-"""Shared plumbing: seed derivation, thread caps, canonical JSON output.
+"""Shared plumbing: seed derivation and canonical JSON output.
 
 Everything randomized in this package flows through :func:`rng_for`, which
 hashes an explicit user seed together with string tags into an independent
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,30 +31,6 @@ def derive_seed(seed: int, *tags) -> int:
 
 def rng_for(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *tags))
-
-
-def worker_count() -> int:
-    """Parallelism cap from LATTICE_LAB_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("LATTICE_LAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"LATTICE_LAB_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("LATTICE_LAB_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
-def parallel_map(fn, items):
-    """Order-preserving map honoring the thread cap; sequential if cap is 1."""
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as ex:
-        return list(ex.map(fn, items))
 
 
 def conjugate(p: float) -> float:

@@ -11,7 +11,8 @@ gauges of solid convex bodies.
 Norm evaluation is exact wherever a closed form or an LP reformulation exists
 and a certified lower bound (multistart ascent / concave programming)
 elsewhere; :func:`eval_norm_detail` and :func:`eval_dual_norm` carry the
-exact-vs-lower flag.
+exact-vs-lower flag.  The Lorentz norms, the ``[1]``-dual and the q,1-dual are
+exact at every atom count, each by one scan along a sorted order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
-from scipy.optimize import LinearConstraint, linprog, minimize
+# linprog is unused here, but perfbench/tracer.py wraps core.linprog by name
+from scipy.optimize import LinearConstraint, linprog, minimize  # noqa: F401
 
 from ._util import conjugate, inv, rng_for
 
@@ -391,9 +393,7 @@ def _eval_spec(spec: NormSpec, v: np.ndarray) -> tuple:
         from . import lorentz
 
         f = lorentz.StepFunction(tuple(v.tolist()), spec.measure)
-        if len(v) <= lorentz.EXACT_SUBSET_DIM:
-            return lorentz.norm_pinfty_r(f, spec.p, spec.r), "exact"
-        return lorentz.norm_pinfty_r(f, spec.p, spec.r), "lower"
+        return lorentz.norm_pinfty_r(f, spec.p, spec.r), "exact"
     if isinstance(spec, WeightedLorentzQ1):
         from . import lorentz
 
@@ -525,67 +525,50 @@ def _lp_norming(p_of_ball: float, b: np.ndarray) -> np.ndarray:
     return s * y / _lp_value(p_of_ball, y)
 
 
-def _subset_rows(w: np.ndarray):
-    """All nonempty subset indicator rows for small dims, chunked."""
-    from .lorentz import subset_mask_chunks
-
-    return subset_mask_chunks(w.shape[0])
-
-
-EXACT_DUAL_DIM = 20
+def _density_order(a: np.ndarray, w: np.ndarray) -> tuple:
+    """Atoms in decreasing order of the density a_i/w_i (ties by index), with
+    the prefix masses of w along that order."""
+    order = np.argsort(-(a / w), kind="stable")
+    return order, np.cumsum(w[order])
 
 
 def _dual_lorentz_pinfty(spec: WeightedLorentzPInfty, b: np.ndarray, budget: int, seed: int) -> ConstantEstimate:
-    n = b.shape[0]
-    w = spec.measure.as_array
     a = np.abs(b)
-    sgn = np.sign(b)
-    sgn = np.where(sgn == 0, 1.0, sgn)
-    expo = 1.0 - spec.r / spec.p
-    if n <= EXACT_DUAL_DIM and spec.r == 1:
-        # the [1]-ball is polyhedral on each orthant: for every atom set A,
-        # sum_{i in A} w_i u_i <= mu(A)^{1/p*}; maximize <|b|, u> by LP
-        rows, rhs = [], []
-        for masks in _subset_rows(w):
-            rows.append(masks * w)
-            rhs.append((masks @ w) ** expo)
-        A_ub = np.vstack(rows)
-        b_ub = np.concatenate(rhs)
-        res = linprog(-a, A_ub=A_ub, b_ub=b_ub, bounds=[(0, None)] * n, method="highs")
-        if res.status != 0:  # pragma: no cover - bounded feasible by construction
-            raise RuntimeError(f"dual-norm LP failed: {res.message}")
-        u = np.maximum(res.x, 0.0)
-        return ConstantEstimate(float(a @ u), "exact", sgn * u, budget, seed)
-    # r > 1 (or large dim): concave program in u = |f|^r over the linear
-    # constraint polytope; any feasible point certifies a lower bound
-    return _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed)
+    sgn = np.where(b < 0, -1.0, 1.0)
+    if spec.r > 1:
+        return _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed)
+    # with v = w u the [1]-ball is {v >= 0 : v(A) <= mu(A)^{1/p*}}, a polymatroid
+    # (a concave power of a modular function is submodular), so Edmonds' greedy
+    # along decreasing |b_i|/w_i maximizes <|b|, u> exactly (Edmonds 1970)
+    w = spec.measure.as_array
+    order, mass = _density_order(a, w)
+    u = np.zeros_like(a)
+    u[order] = np.diff(mass ** (1.0 - 1.0 / spec.p), prepend=0.0) / w[order]
+    return ConstantEstimate(float(a @ u), "exact", sgn * u, budget, seed)
 
 
 def _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed) -> ConstantEstimate:
+    """r > 1: maximize sum |b_i| u_i^{1/r} over u = |f|^r in the [r]-ball,
+    i.e. over the polymatroid {w u : (w u)(A) <= mu(A)^{1 - r/p}}.
+
+    SLSQP multistart keeps only the rows of the prefixes of the density order
+    |b_i|/w_i, a relaxation; each start is then rescaled by its exact [r]-norm,
+    so the result is a certified lower bound."""
     from . import lorentz
 
     n = a.shape[0]
     w = spec.measure.as_array
     p, r = spec.p, spec.r
-    expo = 1.0 - r / p
     support = np.where(a > 0)[0]
     if support.size == 0:
         return ConstantEstimate(0.0, "exact", np.zeros(n), budget, seed)
     ws, as_ = w[support], a[support]
     m = support.size
-    if m <= 14:
-        masks = np.vstack(list(lorentz.subset_mask_chunks(m)))
-    else:
-        # prefixes in decreasing-|b| order plus a sampled batch of subsets
-        order = np.argsort(-as_)
-        pref = np.zeros((m, m))
-        for k in range(m):
-            pref[k, order[:k + 1]] = 1.0
-        samp = (rng_for(seed, "lorentz-dual-masks", m).random((256, m)) < 0.5).astype(float)
-        samp = samp[samp.sum(axis=1) > 0]
-        masks = np.vstack([pref, samp])
-    rows = masks * ws
-    rhs = (masks @ ws) ** expo
+    order, mass = _density_order(as_, ws)
+    rank = np.empty(m, dtype=int)
+    rank[order] = np.arange(m)
+    rows = (np.arange(m)[:, None] >= rank[None, :]) * ws
+    rhs = mass ** (1.0 - r / p)
 
     def neg_obj(u):
         return -float(as_ @ np.maximum(u, 0.0) ** (1.0 / r))
@@ -597,7 +580,7 @@ def _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed) -> ConstantEstimate
     lc = LinearConstraint(rows, -np.inf, rhs)
     t0 = float(np.min(rhs / np.maximum(rows @ np.ones(m), 1e-300)))
     rng = rng_for(seed, "lorentz-dual", m)
-    best_u, best_val = None, -1.0
+    best_f, best_val = np.zeros(n), 0.0
     starts = [np.full(m, 0.5 * t0)]
     for _ in range(max(3, min(8, budget // 300))):
         g = rng.random(m) + 0.05
@@ -607,64 +590,33 @@ def _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed) -> ConstantEstimate
         res = minimize(neg_obj, u0, jac=neg_grad, constraints=[lc],
                        bounds=[(0, None)] * m, method="SLSQP",
                        options={"maxiter": 200, "ftol": 1e-12})
-        u = np.maximum(res.x, 0.0)
-        # project into the ball via the cheap quasinorm upper bound, then fix
-        # up against the constraint rows actually used
-        viol = np.max((rows @ u) / np.maximum(rhs, 1e-300))
-        if viol > 1.0:
-            u = u / viol
-        val = float(as_ @ u ** (1.0 / r))
-        if val > best_val:
-            best_val, best_u = val, u
-    f = np.zeros(n)
-    f[support] = best_u ** (1.0 / r)
-    # certify feasibility with the true norm (exact for small dims, guaranteed
-    # upper bound via the sandwich factor otherwise)
-    sf = lorentz.StepFunction(tuple(f.tolist()), spec.measure)
-    if n <= lorentz.EXACT_SUBSET_DIM:
-        nv = lorentz.norm_pinfty_r(sf, p, r)
-    else:
-        nv = (p / (p - r)) ** (1.0 / r) * lorentz.quasinorm_pinfty(sf, p)
-    if nv > 1.0:
-        f = f / nv
-        best_val = float(a @ f)
-    return ConstantEstimate(best_val, "lower", sgn * f, budget, seed)
+        f = np.zeros(n)
+        f[support] = np.maximum(res.x, 0.0) ** (1.0 / r)
+        nv = lorentz.norm_pinfty_r(lorentz.StepFunction(tuple(f.tolist()), spec.measure), p, r)
+        if nv > 0:
+            f /= nv
+            val = float(a @ f)
+            if val > best_val:
+                best_val, best_f = val, f
+    return ConstantEstimate(best_val, "lower", sgn * best_f, budget, seed)
 
 
 def _dual_lorentz_q1(spec: WeightedLorentzQ1, b: np.ndarray, budget: int, seed: int) -> ConstantEstimate:
-    """Exact for small dims: the positive face of the q,1-ball is the convex
-    hull of normalized indicator functions (layer-cake additivity), so the dual
-    norm is max_A sum_{i in A} |b_i| / (q mu(A)^{1/q})."""
-    from . import lorentz
-
-    n = b.shape[0]
+    """The positive face of the q,1-ball is the convex hull of the normalized
+    indicators 1_A / (q mu(A)^{1/q}) (layer-cake additivity), so the dual norm
+    is max_A sum_{i in A} |b_i| / (q mu(A)^{1/q}).  As for the [r]-norm, that
+    max is attained at a superlevel set, here of the density |b_i|/w_i: one
+    prefix scan of the density order is exact at every atom count."""
     w = spec.measure.as_array
     a = np.abs(b)
-    sgn = np.where(np.sign(b) == 0, 1.0, np.sign(b))
     q = spec.q
-    best, best_mask = 0.0, None
-    if n <= EXACT_DUAL_DIM:
-        for masks in lorentz.subset_mask_chunks(n):
-            vals = (masks @ a) / (q * (masks @ w) ** (1.0 / q))
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best, best_mask = float(vals[i]), masks[i].copy()
-        side = "exact"
-    else:
-        order = np.argsort(-a)
-        cm_a = np.cumsum(a[order])
-        cm_w = np.cumsum(w[order])
-        vals = cm_a / (q * cm_w ** (1.0 / q))
-        k = int(np.argmax(vals))
-        best = float(vals[k])
-        best_mask = np.zeros(n)
-        best_mask[order[:k + 1]] = 1.0
-        side = "lower"
-    if best_mask is None:
-        return ConstantEstimate(0.0, "exact", np.zeros(n), budget, seed)
-    mass = float(best_mask @ w)
-    x = sgn * best_mask / (q * mass ** (1.0 / q))
-    return ConstantEstimate(best, side, x, budget, seed)
+    order, mass = _density_order(a, w)
+    vals = np.cumsum(a[order]) / (q * mass ** (1.0 / q))
+    k = int(np.argmax(vals))
+    x = np.zeros_like(a)
+    top = order[:k + 1]
+    x[top] = np.where(b[top] < 0, -1.0, 1.0) / (q * mass[k] ** (1.0 / q))
+    return ConstantEstimate(float(vals[k]), "exact", x, budget, seed)
 
 
 def _dual_example54(spec: Example54Dual, b: np.ndarray, budget: int, seed: int) -> ConstantEstimate:

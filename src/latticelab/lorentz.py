@@ -22,21 +22,20 @@ __all__ = [
     "quasinorm_pinfty",
     "norm_pinfty_r",
     "norm_pinfty_r_argmax",
-    "norm_pinfty_r_prefix",
     "norm_q1",
     "check_renorming_sandwich",
     "build_weakLp_embedding",
     "lemma_a2_d",
     "subset_mask_chunks",
-    "EXACT_SUBSET_DIM",
 ]
-
-# exact subset enumeration is vectorized in chunks; 2^20 rows is the ceiling
-EXACT_SUBSET_DIM = 20
 
 
 def subset_mask_chunks(n: int, chunk_bits: int = 16) -> Iterator[np.ndarray]:
-    """Indicator rows of all nonempty subsets of {0..n-1}, in chunks."""
+    """Indicator rows of all nonempty subsets of {0..n-1}, in chunks.
+
+    Exponential in n: no norm evaluation uses it.  It generates the probe
+    functions of :func:`build_weakLp_embedding` on at most six atoms and the
+    brute-force reference in the ``reproduce renorming`` report."""
     if n < 1:
         raise ValueError("need at least one atom")
     if n > 63:
@@ -139,29 +138,17 @@ def _pinfty_r_params(p: float, r: float):
 
 
 def norm_pinfty_r_argmax(f: StepFunction, p: float, r: float):
-    """([r]-norm value, indicator of a maximizing atom subset)."""
+    """([r]-norm value, indicator of a maximizing atom subset).
+
+    The sup over atom sets is attained at a superlevel set of |f| for any
+    weights (a ratio of a modular function to a concave power of another), so
+    one scan over the prefixes of the decreasing order of |f| is exact.  Tied
+    moduli may split; every prefix is still a genuine atom set."""
     _pinfty_r_params(p, r)
     m = np.abs(f.as_array)
     w = f.measure.as_array
-    n = m.shape[0]
     if not np.any(m > 0):
-        return 0.0, np.zeros(n)
-    expo = 1.0 / p - 1.0 / r
-    if n <= EXACT_SUBSET_DIM:
-        best, best_mask = -1.0, None
-        mr = w * m ** r
-        for masks in subset_mask_chunks(n):
-            mass = masks @ w
-            integ = masks @ mr
-            vals = mass ** expo * integ ** (1.0 / r)
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best, best_mask = float(vals[i]), masks[i].copy()
-        return best, best_mask
-    return _pinfty_r_prefix_argmax(m, w, p, r)
-
-
-def _pinfty_r_prefix_argmax(m, w, p, r):
+        return 0.0, np.zeros(m.shape[0])
     order = np.argsort(-m, kind="stable")
     mass = np.cumsum(w[order])
     integ = np.cumsum((w * m ** r)[order])
@@ -173,19 +160,9 @@ def _pinfty_r_prefix_argmax(m, w, p, r):
 
 
 def norm_pinfty_r(f: StepFunction, p: float, r: float) -> float:
-    """sup_A mu(A)^{1/p - 1/r} (int_A |f|^r dmu)^{1/r}; exact by subset
-    enumeration up to EXACT_SUBSET_DIM atoms, prefix lower bound beyond."""
+    """sup_A mu(A)^{1/p - 1/r} (int_A |f|^r dmu)^{1/r}, exact at every atom
+    count by the superlevel-set scan of :func:`norm_pinfty_r_argmax`."""
     return norm_pinfty_r_argmax(f, p, r)[0]
-
-
-def norm_pinfty_r_prefix(f: StepFunction, p: float, r: float) -> float:
-    """Prefix fast path: scan superlevel sets of |f| only.  Exact for the
-    counting measure; a lower bound in general."""
-    _pinfty_r_params(p, r)
-    m = np.abs(f.as_array)
-    if not np.any(m > 0):
-        return 0.0
-    return _pinfty_r_prefix_argmax(m, f.measure.as_array, p, r)[0]
 
 
 def norm_q1(f: StepFunction, q: float) -> float:

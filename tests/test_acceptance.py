@@ -29,8 +29,9 @@ def _ok(num, name):
 
 
 def test_acceptance_01_renorming_sandwich():
-    """quasinorm <= ||.||_[r] <= (p/(p-r))^{1/r} quasinorm, and the prefix
-    evaluation agrees with full subset enumeration on counting measures."""
+    """quasinorm <= ||.||_[r] <= (p/(p-r))^{1/r} quasinorm, and the
+    superlevel-set scan agrees with full subset enumeration on counting
+    measures."""
     t0 = time.perf_counter()
     rng = rng_for(0, "acc1")
     for p in (1.5, 2.0, 3.0):
@@ -53,7 +54,7 @@ def test_acceptance_01_renorming_sandwich():
                 vals = np.abs(rng.standard_normal(dim)) + 0.05
                 f = ll.StepFunction(tuple(vals.tolist()),
                                     ll.AtomicMeasure.counting(dim))
-                pref = lz.norm_pinfty_r_prefix(f, p, r)
+                pref = lz.norm_pinfty_r(f, p, r)
                 best = 0.0
                 av = np.abs(vals)
                 for masks in lz.subset_mask_chunks(dim):

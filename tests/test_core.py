@@ -73,6 +73,57 @@ def test_dual_norm_dominates_sampled_pairings():
             assert abs(float(x @ b)) <= est.value * n + 1e-9
 
 
+def test_lorentz_duals_match_brute_force():
+    # [1]-dual against the LP with one row per atom subset, q,1-dual against
+    # enumeration of every subset; unequal weights, tied moduli and zeros
+    from scipy.optimize import linprog
+
+    from latticelab.lorentz import subset_mask_chunks
+
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 11))
+        w = rng.uniform(0.3, 3.0, n)
+        b = rng.standard_normal(n)
+        b[rng.random(n) < 0.2] = 0.0
+        b[-1] = -b[0]
+        p = float(rng.uniform(1.3, 4.0))
+        mu = ll.AtomicMeasure(tuple(w.tolist()))
+        masks = np.vstack(list(subset_mask_chunks(n)))
+        res = linprog(-np.abs(b), A_ub=masks * w, b_ub=(masks @ w) ** (1 - 1 / p),
+                      bounds=[(0, None)] * n, method="highs")
+        assert res.status == 0
+        est = ll.eval_dual_norm(ll.NormedLattice(n, ll.WeightedLorentzPInfty(p, 1, mu)), b)
+        assert est.side == "exact"
+        assert est.value == pytest.approx(-res.fun, rel=1e-9, abs=1e-12)
+        brute = float(np.max((masks @ np.abs(b)) / (p * (masks @ w) ** (1 / p))))
+        est = ll.eval_dual_norm(ll.NormedLattice(n, ll.WeightedLorentzQ1(p, mu)), b)
+        assert est.side == "exact"
+        assert est.value == pytest.approx(brute, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [21, 64])
+def test_lorentz_kernels_exact_above_twenty_atoms(n):
+    rng = np.random.default_rng(n)
+    mu = ll.AtomicMeasure(tuple(rng.uniform(0.3, 3.0, n).tolist()))
+    b = rng.standard_normal(n)
+    p = 2.0
+    X1 = ll.NormedLattice(n, ll.WeightedLorentzPInfty(p, 1, mu))
+    assert ll.eval_norm_detail(X1, b)[1] == "exact"
+    values = []
+    for side, spec in (("exact", X1.norm), ("exact", ll.WeightedLorentzQ1(p, mu)),
+                       ("lower", ll.WeightedLorentzPInfty(p, 1.5, mu))):
+        X = ll.NormedLattice(n, spec)
+        est = ll.eval_dual_norm(X, b)
+        assert est.side == side
+        wit = np.asarray(est.witness)
+        assert float(wit @ b) == pytest.approx(est.value, rel=1e-12)
+        assert ll.eval_norm(X, wit) <= 1 + 1e-12
+        values.append(est.value)
+    # the [r]-ball lies inside the [1]-ball
+    assert values[2] <= values[0] * (1 + 1e-12)
+
+
 def test_sigma_apply_examples():
     out = ll.sigma_apply(ll.SymmetricSeqNorm(2), [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     assert np.allclose(out, [1.0, 1.0])
