@@ -49,6 +49,19 @@ def inv(p: float) -> float:
     return 0.0 if p == math.inf else 1.0 / p
 
 
+def lp_norm(x, p: float, axis=None):
+    """(sum |x_i|^p)^(1/p) along ``axis`` (over all entries when None), with the
+    max for p = inf; an empty reduction gives 0."""
+    a = np.abs(np.asarray(x, dtype=float))
+    # ndarray methods: the same reductions as np.max/np.sum without their
+    # Python dispatch, which costs more than the sum on short vectors
+    if p == math.inf:
+        return a.max(axis=axis, initial=0.0)
+    if p == 1:
+        return a.sum(axis=axis)
+    return (a ** p).sum(axis=axis) ** (1.0 / p)
+
+
 def _format_scalar(x) -> str:
     if isinstance(x, bool) or isinstance(x, np.bool_):
         return "true" if x else "false"

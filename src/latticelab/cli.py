@@ -195,24 +195,6 @@ def serialize_lattice(lat: NormedLattice) -> str:
     return canonical_json(lattice_to_dict(lat))
 
 
-def _load_body(path: str) -> SolidConvexBody:
-    doc = _load_json(path)
-    gens_raw = doc.get("generators") if isinstance(doc, dict) else None
-    if not isinstance(gens_raw, list) or not gens_raw:
-        raise LatticeSchemaError("/generators", "expected a nonempty list of vectors")
-    gens = []
-    for i, g in enumerate(gens_raw):
-        if not isinstance(g, list) or not g:
-            raise LatticeSchemaError(f"/generators/{i}", "expected a nonempty list of numbers")
-        for j, x in enumerate(g):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise LatticeSchemaError(f"/generators/{i}/{j}", "expected a number")
-        gens.append(tuple(float(x) for x in g))
-    if len({len(g) for g in gens}) != 1:
-        raise LatticeSchemaError("/generators", "generators must share one dimension")
-    return SolidConvexBody(tuple(gens))
-
-
 def _load_operator(path: str) -> LinOperator:
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -403,7 +385,7 @@ def _cmd_constants_qconvex(args, cfg):
 
 
 def _cmd_geom_gauge(args, cfg):
-    body = _load_body(args.body)
+    body = SolidConvexBody.from_dict(_load_json(args.body))
     y = _vector(args, "--y", body.dim)
     val = gauge(body, y)
     return {
@@ -439,8 +421,8 @@ def _cmd_geom_min_factor(args, cfg):
 
 
 def _cmd_geom_interpolate(args, cfg):
-    C0 = _load_body(args.body)
-    C1 = _load_body(args.body2)
+    C0 = SolidConvexBody.from_dict(_load_json(args.body))
+    C1 = SolidConvexBody.from_dict(_load_json(args.body2))
     out = interpolate_theta(C0, C1, args.theta, args.p, args.q,
                             {"p2": args.p2, "q2": args.q2},
                             budget=cfg.budget, seed=cfg.seed)

@@ -19,19 +19,20 @@ from itertools import product
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import conjugate, rng_for
+from ._util import conjugate, lp_norm, rng_for
 from .core import (
     GaugeOf,
+    LatticeSchemaError,
     LinOperator,
-    Lp,
     NormedLattice,
     SymmetricSeqNorm,
     as_vector,
-    dual_lattice,
     eval_dual_norm,
     eval_norm,
     sigma_apply,
     sigma_dual,
+    _built,
+    _want,
 )
 
 __all__ = [
@@ -59,9 +60,9 @@ class SolidConvexBody:
     def __post_init__(self):
         gens = tuple(tuple(float(v) for v in g) for g in self.generators)
         if not gens:
-            raise ValueError("body needs at least one generator")
+            raise LatticeSchemaError("generators", "needs at least one generator")
         if len({len(g) for g in gens}) != 1:
-            raise ValueError("generators must share one dimension")
+            raise LatticeSchemaError("generators", "generators must share one dimension")
         object.__setattr__(self, "generators", gens)
 
     @property
@@ -74,6 +75,21 @@ class SolidConvexBody:
 
     def to_dict(self) -> dict:
         return {"generators": [list(g) for g in self.generators]}
+
+    @staticmethod
+    def from_dict(doc, path: str = "") -> "SolidConvexBody":
+        """Parse ``{"generators": [[...], ...]}``; every entry must be a finite
+        number.  Error paths are prefixed by ``path``."""
+        raw = _want(doc, "generators", path, list, "a list of vectors")
+        for i, g in enumerate(raw):
+            if not isinstance(g, list) or not g:
+                raise LatticeSchemaError(f"{path}/generators/{i}", "expected a nonempty list of numbers")
+            for j, x in enumerate(g):
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    raise LatticeSchemaError(f"{path}/generators/{i}/{j}", "expected a number")
+                if not math.isfinite(x):
+                    raise LatticeSchemaError(f"{path}/generators/{i}/{j}", f"entry must be finite, got {x}")
+        return _built(path, SolidConvexBody, tuple(tuple(float(x) for x in g) for g in raw))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,27 +249,6 @@ def _append_raw(body: SolidConvexBody, extra) -> SolidConvexBody:
 # D-side search
 
 
-def _batch_norms(X: NormedLattice, mat: np.ndarray) -> np.ndarray:
-    spec = X.norm
-    if isinstance(spec, Lp):
-        a = np.abs(mat)
-        if spec.p == math.inf:
-            return a.max(axis=1)
-        if spec.p == 1:
-            return a.sum(axis=1)
-        return np.sum(a ** spec.p, axis=1) ** (1.0 / spec.p)
-    return np.array([eval_norm(X, row) for row in mat])
-
-
-def _tau_combine(tau: SymmetricSeqNorm, cols: np.ndarray) -> np.ndarray:
-    """tau over axis 0 of a stack of norm vectors."""
-    if tau.p == math.inf:
-        return cols.max(axis=0)
-    if tau.p == 1:
-        return cols.sum(axis=0)
-    return np.sum(cols ** tau.p, axis=0) ** (1.0 / tau.p)
-
-
 def _column_options(sigma_p: float, grid: int):
     """(c_1, c_2) pairs with sigma-norm <= 1 per column, both signs."""
     opts = []
@@ -282,9 +277,9 @@ def _rho_two_part_grid(T: LinOperator, u: np.ndarray, tau, sigma) -> tuple:
     c2 = A[idx, 1]
     u1 = c1 * u
     u2 = c2 * u
-    n1 = _batch_norms(T.codomain, u1 @ T.matrix.T)
-    n2 = _batch_norms(T.codomain, u2 @ T.matrix.T)
-    vals = _tau_combine(tau, np.stack([n1, n2]))
+    n1 = T.codomain.norm.eval_rows(u1 @ T.matrix.T)
+    n2 = T.codomain.norm.eval_rows(u2 @ T.matrix.T)
+    vals = lp_norm(np.stack([n1, n2]), tau.p, axis=0)
     k = int(np.argmax(vals))
     return float(vals[k]), [u1[k], u2[k]]
 

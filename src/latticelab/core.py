@@ -8,6 +8,11 @@ integral q,1-norm), l_inf-sums, Lorentz-of-blocks mixtures, the three-term max
 norm on R^3 used by the embedding counterexample, preduals, and Minkowski
 gauges of solid convex bodies.
 
+Each norm kind is one :class:`NormSpec` subclass that owns its range checks,
+its evaluation, dual norm, norming functional, dual space and JSON form; the
+public functions below only validate the vector and dispatch to it.  Adding a
+kind means adding one such class plus one entry in the kind table ``_KINDS``.
+
 Norm evaluation is exact wherever a closed form or an LP reformulation exists
 and a certified lower bound (multistart ascent / concave programming)
 elsewhere; :func:`eval_norm_detail` and :func:`eval_dual_norm` carry the
@@ -18,7 +23,7 @@ exact at every atom count, each by one scan along a sorted order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Optional
 
@@ -26,7 +31,7 @@ import numpy as np
 # linprog is unused here, but perfbench/tracer.py wraps core.linprog by name
 from scipy.optimize import LinearConstraint, linprog, minimize  # noqa: F401
 
-from ._util import conjugate, inv, rng_for
+from ._util import conjugate, inv, lp_norm, rng_for
 
 __all__ = [
     "AtomicMeasure",
@@ -68,16 +73,18 @@ def as_vector(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finitely many atoms with strictly positive weights."""
+    """Finitely many atoms with strictly positive finite weights.  Errors name
+    the ``weights`` field of the norm document that holds the measure."""
 
     weights: tuple
 
     def __post_init__(self):
         ws = tuple(float(w) for w in self.weights)
         if not ws:
-            raise ValueError("measure needs at least one atom")
-        if any(not (w > 0) or not math.isfinite(w) for w in ws):
-            raise ValueError("atom weights must be strictly positive and finite")
+            raise LatticeSchemaError("weights", "needs at least one atom")
+        for i, w in enumerate(ws):
+            if not (w > 0 and math.isfinite(w)):
+                raise LatticeSchemaError(f"weights/{i}", f"weight must be > 0 and finite, got {w}")
         object.__setattr__(self, "weights", ws)
 
     @property
@@ -114,14 +121,7 @@ class SymmetricSeqNorm:
         object.__setattr__(self, "p", p)
 
     def __call__(self, values) -> float:
-        t = np.abs(np.asarray(values, dtype=float))
-        if t.size == 0:
-            return 0.0
-        if self.p == math.inf:
-            return float(np.max(t))
-        if self.p == 1:
-            return float(np.sum(t))
-        return float(np.sum(t ** self.p) ** (1.0 / self.p))
+        return float(lp_norm(values, self.p))
 
 
 def sigma_apply(sigma: SymmetricSeqNorm, xs) -> np.ndarray:
@@ -129,13 +129,7 @@ def sigma_apply(sigma: SymmetricSeqNorm, xs) -> np.ndarray:
     if len(xs) == 0:
         raise ValueError("sigma_apply needs a nonempty family")
     mat = np.stack([np.abs(as_vector(x)) for x in xs])
-    if len({m.shape[0] for m in mat}) > 1:  # pragma: no cover - stack already raises
-        raise ValueError("mixed dimensions")
-    if sigma.p == math.inf:
-        return np.max(mat, axis=0)
-    if sigma.p == 1:
-        return np.sum(mat, axis=0)
-    return np.sum(mat ** sigma.p, axis=0) ** (1.0 / sigma.p)
+    return lp_norm(mat, sigma.p, axis=0)
 
 
 def sigma_dual(sigma: SymmetricSeqNorm) -> SymmetricSeqNorm:
@@ -144,9 +138,55 @@ def sigma_dual(sigma: SymmetricSeqNorm) -> SymmetricSeqNorm:
 
 
 class NormSpec:
-    """Base tag for the parametric norm family."""
+    """Base of the parametric norm family.
+
+    Each subclass is one ``kind`` and owns its whole protocol.  Its constructor
+    checks the parameters once, raising :class:`LatticeSchemaError` with a path
+    relative to its norm document (``r``, ``weights/1``).  The methods below
+    receive finite float vectors of the lattice dimension; the public
+    functions (:func:`eval_norm`, :func:`eval_dual_norm`, ...) check that.
+    """
 
     kind: str = "abstract"
+    #: dimension the norm forces, or None when any dimension fits
+    forced_dim: Optional[int] = None
+
+    def evaluate(self, v: np.ndarray) -> tuple:
+        """(||v||, "exact" | "lower")."""
+        raise NotImplementedError
+
+    def eval_rows(self, mat: np.ndarray) -> np.ndarray:
+        """||row|| for each row of a (k, n) stack."""
+        return np.array([self.evaluate(row)[0] for row in mat])
+
+    def dual_norm(self, b: np.ndarray, budget: int, seed: int) -> ConstantEstimate:
+        """sup{<x, b> : ||x|| <= 1} with an exact/lower flag and a witness x."""
+        raise NotImplementedError
+
+    def norming(self, a: np.ndarray) -> np.ndarray:
+        """b with ||b||_* <= 1 and <a, b> = ||a||, for a != 0."""
+        raise NotImplementedError
+
+    def dual_spec(self) -> "NormSpec":
+        """The norm of the dual lattice on the same coordinates."""
+        return PredualOf(self)
+
+    def to_dict(self) -> dict:
+        raise NotImplementedError
+
+    @staticmethod
+    def from_dict(doc, path: str = "") -> "NormSpec":
+        """Parse a norm document of any kind; error paths are prefixed by ``path``."""
+        kind = _want(doc, "kind", path, str, "a string")
+        cls = _KINDS.get(kind)
+        if cls is None:
+            raise LatticeSchemaError(f"{path}/kind", f"unknown norm kind {kind!r}")
+        return _built(path, cls, *cls._fields_from_dict(doc, path))
+
+    @classmethod
+    def _fields_from_dict(cls, doc, path: str) -> tuple:
+        """Constructor arguments read from a document (JSON type checks only)."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -157,8 +197,42 @@ class Lp(NormSpec):
     def __post_init__(self):
         p = float(self.p)
         if not 1 <= p:
-            raise ValueError(f"lp exponent must lie in [1, inf], got {p}")
+            raise LatticeSchemaError("p", f"p must lie in [1, inf], got {p}")
         object.__setattr__(self, "p", p)
+
+    def evaluate(self, v):
+        return float(lp_norm(v, self.p)), "exact"
+
+    def eval_rows(self, mat):
+        return lp_norm(mat, self.p, axis=1)
+
+    def dual_norm(self, b, budget, seed):
+        val = float(lp_norm(b, conjugate(self.p)))
+        return ConstantEstimate(val, "exact", _lp_norming(self.p, b), budget, seed)
+
+    def norming(self, a):
+        p = self.p
+        s = np.sign(a)
+        m = np.abs(a)
+        if p == math.inf:
+            b = np.zeros_like(a)
+            i = int(np.argmax(m))
+            b[i] = s[i]
+            return b
+        if p == 1:
+            return s
+        nrm = float(lp_norm(a, p))
+        return s * (m / nrm) ** (p - 1.0)
+
+    def dual_spec(self):
+        return Lp(conjugate(self.p))
+
+    def to_dict(self):
+        return {"kind": self.kind, "p": ("inf" if self.p == math.inf else self.p)}
+
+    @classmethod
+    def _fields_from_dict(cls, doc, path):
+        return (_parse_exponent(doc, "p", path),)
 
 
 @dataclass(frozen=True)
@@ -176,11 +250,57 @@ class WeightedLorentzPInfty(NormSpec):
     def __post_init__(self):
         p, r = float(self.p), float(self.r)
         if not 1 < p < math.inf:
-            raise ValueError(f"lorentz_pinfty needs p in (1, inf), got {p}")
-        if not 1 <= r < p:
-            raise ValueError(f"lorentz_pinfty needs 1 <= r < p, got r={r}, p={p}")
+            raise LatticeSchemaError("p", f"p must lie in (1, inf), got {p}")
+        if not 1 <= r:
+            raise LatticeSchemaError("r", f"r must be >= 1, got {r}")
+        if r >= p:
+            raise LatticeSchemaError("r", f"requires r < p, got r={r}, p={p}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
+
+    @property
+    def forced_dim(self):
+        return self.measure.dim
+
+    def evaluate(self, v):
+        from . import lorentz
+
+        f = lorentz.StepFunction(tuple(v.tolist()), self.measure)
+        return lorentz.norm_pinfty_r(f, self.p, self.r), "exact"
+
+    def dual_norm(self, b, budget, seed):
+        a = np.abs(b)
+        sgn = np.where(b < 0, -1.0, 1.0)
+        if self.r > 1:
+            return _dual_lorentz_pinfty_concave(self, a, sgn, budget, seed)
+        # with v = w u the [1]-ball is {v >= 0 : v(A) <= mu(A)^{1/p*}}, a polymatroid
+        # (a concave power of a modular function is submodular), so Edmonds' greedy
+        # along decreasing |b_i|/w_i maximizes <|b|, u> exactly (Edmonds 1970)
+        w = self.measure.as_array
+        order, mass = _density_order(a, w)
+        u = np.zeros_like(a)
+        u[order] = np.diff(mass ** (1.0 - 1.0 / self.p), prepend=0.0) / w[order]
+        return ConstantEstimate(float(a @ u), "exact", sgn * u, budget, seed)
+
+    def norming(self, a):
+        from . import lorentz
+
+        f = lorentz.StepFunction(tuple(a.tolist()), self.measure)
+        _, mask = lorentz.norm_pinfty_r_argmax(f, self.p, self.r)
+        w = self.measure.as_array
+        m = np.abs(a)
+        mass = float(mask @ w)
+        integ = float(np.sum(mask * w * m ** self.r))
+        coef = mass ** (inv(self.p) - 1.0 / self.r) * integ ** (1.0 / self.r - 1.0)
+        return coef * mask * w * m ** (self.r - 1.0) * np.sign(a)
+
+    def to_dict(self):
+        return {"kind": self.kind, "p": self.p, "r": self.r, "weights": list(self.measure.weights)}
+
+    @classmethod
+    def _fields_from_dict(cls, doc, path):
+        return (_parse_exponent(doc, "p", path), _parse_exponent(doc, "r", path),
+                _parse_weights(doc, path))
 
 
 @dataclass(frozen=True)
@@ -194,8 +314,52 @@ class WeightedLorentzQ1(NormSpec):
     def __post_init__(self):
         q = float(self.q)
         if not 1 < q < math.inf:
-            raise ValueError(f"lorentz_q1 needs q in (1, inf), got {q}")
+            raise LatticeSchemaError("q", f"q must lie in (1, inf), got {q}")
         object.__setattr__(self, "q", q)
+
+    @property
+    def forced_dim(self):
+        return self.measure.dim
+
+    def evaluate(self, v):
+        from . import lorentz
+
+        f = lorentz.StepFunction(tuple(v.tolist()), self.measure)
+        return lorentz.norm_q1(f, self.q), "exact"
+
+    def dual_norm(self, b, budget, seed):
+        """The positive face of the q,1-ball is the convex hull of the normalized
+        indicators 1_A / (q mu(A)^{1/q}) (layer-cake additivity), so the dual norm
+        is max_A sum_{i in A} |b_i| / (q mu(A)^{1/q}).  As for the [r]-norm, that
+        max is attained at a superlevel set, here of the density |b_i|/w_i: one
+        prefix scan of the density order is exact at every atom count."""
+        w = self.measure.as_array
+        a = np.abs(b)
+        q = self.q
+        order, mass = _density_order(a, w)
+        vals = np.cumsum(a[order]) / (q * mass ** (1.0 / q))
+        k = int(np.argmax(vals))
+        x = np.zeros_like(a)
+        top = order[:k + 1]
+        x[top] = np.where(b[top] < 0, -1.0, 1.0) / (q * mass[k] ** (1.0 / q))
+        return ConstantEstimate(float(vals[k]), "exact", x, budget, seed)
+
+    def norming(self, a):
+        w = self.measure.as_array
+        m = np.abs(a)
+        order = np.argsort(-m, kind="stable")
+        cum = np.concatenate([[0.0], np.cumsum(w[order])])
+        marg = self.q * (cum[1:] ** (1.0 / self.q) - cum[:-1] ** (1.0 / self.q))
+        b = np.zeros_like(a)
+        b[order] = marg
+        return b * np.sign(a)
+
+    def to_dict(self):
+        return {"kind": self.kind, "q": self.q, "weights": list(self.measure.weights)}
+
+    @classmethod
+    def _fields_from_dict(cls, doc, path):
+        return (_parse_exponent(doc, "q", path), _parse_weights(doc, path))
 
 
 @dataclass(frozen=True)
@@ -207,8 +371,37 @@ class LinfSum(NormSpec):
 
     def __post_init__(self):
         if not self.blocks:
-            raise ValueError("linf_sum needs at least one block")
+            raise LatticeSchemaError("blocks", "needs at least one block")
         object.__setattr__(self, "blocks", tuple(self.blocks))
+
+    @property
+    def forced_dim(self):
+        return sum(b.dim for b in self.blocks)
+
+    def evaluate(self, v):
+        vals, side = _eval_blocks(self.blocks, v)
+        return max([0.0, *vals]), side
+
+    def dual_norm(self, b, budget, seed):
+        vals, wits, side = _dual_blocks(self.blocks, b, budget, seed)
+        total = 0.0
+        for val in vals:
+            total += val
+        return ConstantEstimate(total, side, np.concatenate(wits), budget, seed)
+
+    def norming(self, a):
+        pieces = _split_blocks(a, self.blocks)
+        i = int(np.argmax(_eval_blocks(self.blocks, a)[0]))
+        out = [np.zeros(blk.dim) for blk in self.blocks]
+        out[i] = norming_functional(self.blocks[i], pieces[i])
+        return np.concatenate(out)
+
+    def to_dict(self):
+        return {"kind": self.kind, "blocks": [lattice_to_dict(b) for b in self.blocks]}
+
+    @classmethod
+    def _fields_from_dict(cls, doc, path):
+        return (_parse_blocks(doc, path),)
 
 
 @dataclass(frozen=True)
@@ -221,12 +414,49 @@ class BlockLorentz(NormSpec):
 
     def __post_init__(self):
         if not isinstance(self.outer, (Lp, WeightedLorentzPInfty)):
-            raise ValueError("block_lorentz outer norm must be lp or lorentz_pinfty")
+            raise LatticeSchemaError("outer/kind", "outer norm must be lp or lorentz_pinfty")
         if not self.blocks:
-            raise ValueError("block_lorentz needs at least one block")
-        if isinstance(self.outer, WeightedLorentzPInfty) and self.outer.measure.dim != len(self.blocks):
-            raise ValueError("outer measure must have one atom per block")
+            raise LatticeSchemaError("blocks", "needs at least one block")
+        if self.outer.forced_dim not in (None, len(self.blocks)):
+            raise LatticeSchemaError("outer/weights", "outer measure must have one atom per block")
         object.__setattr__(self, "blocks", tuple(self.blocks))
+
+    @property
+    def forced_dim(self):
+        return sum(b.dim for b in self.blocks)
+
+    def evaluate(self, v):
+        t, side = _eval_blocks(self.blocks, v)
+        val, s = self.outer.evaluate(np.array(t))
+        return val, ("exact" if side == s == "exact" else "lower")
+
+    def dual_norm(self, b, budget, seed):
+        t, wits, side = _dual_blocks(self.blocks, b, budget, seed)
+        outer_est = self.outer.dual_norm(np.array(t), budget, seed)
+        if outer_est.side != "exact":
+            side = "lower"
+        s = as_vector(outer_est.witness)
+        witness = np.concatenate([s[k] * wits[k] for k in range(len(wits))])
+        return ConstantEstimate(outer_est.value, side, witness, budget, seed)
+
+    def norming(self, a):
+        pieces = _split_blocks(a, self.blocks)
+        t = np.array(_eval_blocks(self.blocks, a)[0])
+        beta = self.outer.norming(t) if np.any(t > 0) else np.zeros(len(t))
+        parts = []
+        for k, (blk, piece) in enumerate(zip(self.blocks, pieces)):
+            bf = norming_functional(blk, piece) if t[k] > 0 else np.zeros(blk.dim)
+            parts.append(beta[k] * bf)
+        return np.concatenate(parts)
+
+    def to_dict(self):
+        return {"kind": self.kind, "outer": self.outer.to_dict(),
+                "blocks": [lattice_to_dict(b) for b in self.blocks]}
+
+    @classmethod
+    def _fields_from_dict(cls, doc, path):
+        outer = NormSpec.from_dict(_want(doc, "outer", path, dict, "a norm document"), f"{path}/outer")
+        return (outer, _parse_blocks(doc, path))
 
 
 @dataclass(frozen=True)
@@ -238,12 +468,73 @@ class Example54Dual(NormSpec):
 
     p: float
     kind = "example54_dual"
+    forced_dim = 3
 
     def __post_init__(self):
         p = float(self.p)
         if not 1 < p < math.inf:
-            raise ValueError(f"example54_dual needs p in (1, inf), got {p}")
+            raise LatticeSchemaError("p", f"p must lie in (1, inf), got {p}")
         object.__setattr__(self, "p", p)
+
+    def evaluate(self, v):
+        return _example54_value(self.p, v), "exact"
+
+    def dual_norm(self, b, budget, seed):
+        """sup{<x,b> : ||x||_{three-term max} <= 1} via SLSQP on the positive
+        orthant plus multistart ascent; certified one-sided."""
+        ps = conjugate(self.p)
+        a = np.abs(b)
+        sgn = np.where(np.sign(b) == 0, 1.0, np.sign(b))
+
+        def cons_val(x):
+            x = np.abs(x)
+            out = []
+            for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+                out.append(1.0 - (x[i] ** ps + (x[j] + x[k]) ** ps))
+            return np.array(out)
+
+        best_x, best_val = np.zeros(3), 0.0
+        rng = rng_for(seed, "ex54-dual")
+        starts = [np.full(3, 0.3), np.array([0.9, 0.05, 0.05]), np.array([0.05, 0.9, 0.05]),
+                  np.array([0.05, 0.05, 0.9])]
+        for _ in range(max(8, min(32, budget // 100))):
+            starts.append(rng.random(3) * 0.8 + 0.05)
+        for x0 in starts:
+            res = minimize(lambda x: -float(a @ x), x0, constraints=[{"type": "ineq", "fun": cons_val}],
+                           bounds=[(0, None)] * 3, method="SLSQP",
+                           options={"maxiter": 200, "ftol": 1e-14})
+            x = np.maximum(res.x, 0.0)
+            nv = _example54_value(self.p, x)
+            if nv > 0:
+                x = x / max(nv, 1.0)
+            val = float(a @ x)
+            if val > best_val:
+                best_val, best_x = val, x
+        return ConstantEstimate(best_val, "lower", sgn * best_x, budget, seed)
+
+    def norming(self, a):
+        ps = conjugate(self.p)
+        m = np.abs(a)
+        best, arg = -1.0, None
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            val = (m[i] ** ps + (m[j] + m[k]) ** ps) ** (1.0 / ps)
+            if val > best:
+                best, arg = val, (i, j, k)
+        i, j, k = arg
+        b = np.zeros(3)
+        if best > 0:
+            b[i] = m[i] ** (ps - 1.0)
+            b[j] = (m[j] + m[k]) ** (ps - 1.0)
+            b[k] = b[j]
+            b *= best ** (1.0 - ps)
+        return b * np.sign(a)
+
+    def to_dict(self):
+        return {"kind": self.kind, "p": self.p}
+
+    @classmethod
+    def _fields_from_dict(cls, doc, path):
+        return (_parse_exponent(doc, "p", path),)
 
 
 @dataclass(frozen=True)
@@ -255,7 +546,34 @@ class PredualOf(NormSpec):
 
     def __post_init__(self):
         if isinstance(self.inner, PredualOf):
-            raise ValueError("predual_of may not be nested more than once")
+            raise LatticeSchemaError("inner/kind", "predual_of may not be nested more than once")
+
+    @property
+    def forced_dim(self):
+        return self.inner.forced_dim
+
+    def evaluate(self, v):
+        est = self.inner.dual_norm(v, budget=2000, seed=0)
+        return est.value, ("exact" if est.side == "exact" else "lower")
+
+    def dual_norm(self, b, budget, seed):
+        # bipolar: the dual of the predual is the referenced norm itself
+        val, side = self.inner.evaluate(b)
+        wit = norming_functional(NormedLattice(b.shape[0], self.inner), b)
+        return ConstantEstimate(val, side, wit, budget, seed)
+
+    def norming(self, a):
+        return as_vector(self.inner.dual_norm(a, budget=2000, seed=0).witness)
+
+    def dual_spec(self):
+        return self.inner
+
+    def to_dict(self):
+        return {"kind": self.kind, "inner": self.inner.to_dict()}
+
+    @classmethod
+    def _fields_from_dict(cls, doc, path):
+        return (NormSpec.from_dict(_want(doc, "inner", path, dict, "a norm document"), f"{path}/inner"),)
 
 
 @dataclass(frozen=True)
@@ -265,26 +583,39 @@ class GaugeOf(NormSpec):
     body: Any
     kind = "gauge_of"
 
+    @property
+    def forced_dim(self):
+        return self.body.dim
 
-def _spec_dim(spec: NormSpec) -> Optional[int]:
-    """Dimension forced by a norm description, or None if any fits."""
-    if isinstance(spec, (Lp,)):
-        return None
-    if isinstance(spec, WeightedLorentzPInfty):
-        return spec.measure.dim
-    if isinstance(spec, WeightedLorentzQ1):
-        return spec.measure.dim
-    if isinstance(spec, LinfSum):
-        return sum(b.dim for b in spec.blocks)
-    if isinstance(spec, BlockLorentz):
-        return sum(b.dim for b in spec.blocks)
-    if isinstance(spec, Example54Dual):
-        return 3
-    if isinstance(spec, PredualOf):
-        return _spec_dim(spec.inner)
-    if isinstance(spec, GaugeOf):
-        return spec.body.dim
-    raise TypeError(f"unknown norm spec {spec!r}")
+    def evaluate(self, v):
+        from . import convexgeom
+
+        return convexgeom.gauge(self.body, v), "exact"
+
+    def dual_norm(self, b, budget, seed):
+        from . import convexgeom
+
+        val, g = convexgeom.support_function_witness(self.body, b)
+        return ConstantEstimate(val, "exact", g, budget, seed)
+
+    def norming(self, a):
+        from . import convexgeom
+
+        return convexgeom.gauge_norming(self.body, a)
+
+    def to_dict(self):
+        return {"kind": self.kind, **self.body.to_dict()}
+
+    @classmethod
+    def _fields_from_dict(cls, doc, path):
+        from . import convexgeom
+
+        return (convexgeom.SolidConvexBody.from_dict(doc, path),)
+
+
+# the one list of norm kinds
+_KINDS = {cls.kind: cls for cls in (Lp, WeightedLorentzPInfty, WeightedLorentzQ1, LinfSum,
+                                    BlockLorentz, Example54Dual, PredualOf, GaugeOf)}
 
 
 @dataclass(frozen=True)
@@ -294,10 +625,10 @@ class NormedLattice:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("lattice dimension must be positive")
-        forced = _spec_dim(self.norm)
+            raise LatticeSchemaError("dim", f"dim must be >= 1, got {self.dim}")
+        forced = self.norm.forced_dim
         if forced is not None and forced != self.dim:
-            raise ValueError(f"norm spec forces dimension {forced}, lattice says {self.dim}")
+            raise LatticeSchemaError("dim", f"norm spec forces dimension {forced}, lattice says {self.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,12 +659,7 @@ class LinOperator:
 
 def dual_lattice(lat: NormedLattice) -> NormedLattice:
     """Same coordinates with the dual norm (closed form for l_p, predual unwrap)."""
-    spec = lat.norm
-    if isinstance(spec, Lp):
-        return NormedLattice(lat.dim, Lp(conjugate(spec.p)))
-    if isinstance(spec, PredualOf):
-        return NormedLattice(lat.dim, spec.inner)
-    return NormedLattice(lat.dim, PredualOf(spec))
+    return NormedLattice(lat.dim, lat.norm.dual_spec())
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,68 +691,20 @@ class ConstantEstimate:
 # norm evaluation
 
 
-def _lp_value(p: float, x: np.ndarray) -> float:
-    a = np.abs(x)
-    if p == math.inf:
-        return float(a.max()) if a.size else 0.0
-    if p == 1:
-        return float(a.sum())
-    return float(np.sum(a ** p) ** (1.0 / p))
-
-
 def eval_norm(X: NormedLattice, x) -> float:
     return eval_norm_detail(X, x)[0]
 
 
 def eval_norm_detail(X: NormedLattice, x) -> tuple:
     """Norm value plus a side flag: 'exact' or 'lower' (certified one-sided)."""
+    return X.norm.evaluate(_vector_in(X, x))
+
+
+def _vector_in(X: NormedLattice, x) -> np.ndarray:
     v = as_vector(x)
     if v.shape[0] != X.dim:
         raise ValueError(f"vector has dim {v.shape[0]}, lattice has dim {X.dim}")
-    return _eval_spec(X.norm, v)
-
-
-def _eval_spec(spec: NormSpec, v: np.ndarray) -> tuple:
-    if isinstance(spec, Lp):
-        return _lp_value(spec.p, v), "exact"
-    if isinstance(spec, WeightedLorentzPInfty):
-        from . import lorentz
-
-        f = lorentz.StepFunction(tuple(v.tolist()), spec.measure)
-        return lorentz.norm_pinfty_r(f, spec.p, spec.r), "exact"
-    if isinstance(spec, WeightedLorentzQ1):
-        from . import lorentz
-
-        f = lorentz.StepFunction(tuple(v.tolist()), spec.measure)
-        return lorentz.norm_q1(f, spec.q), "exact"
-    if isinstance(spec, LinfSum):
-        best, side = 0.0, "exact"
-        for blk, piece in zip(spec.blocks, _split_blocks(v, spec.blocks)):
-            val, s = eval_norm_detail(blk, piece)
-            best = max(best, val)
-            if s != "exact":
-                side = "lower"
-        return best, side
-    if isinstance(spec, BlockLorentz):
-        side = "exact"
-        t = []
-        for blk, piece in zip(spec.blocks, _split_blocks(v, spec.blocks)):
-            val, s = eval_norm_detail(blk, piece)
-            t.append(val)
-            if s != "exact":
-                side = "lower"
-        val, s = _eval_spec(spec.outer, np.array(t))
-        return val, ("exact" if side == s == "exact" else "lower")
-    if isinstance(spec, Example54Dual):
-        return _example54_value(spec.p, v), "exact"
-    if isinstance(spec, PredualOf):
-        est = _dual_norm_of_spec(spec.inner, v, budget=2000, seed=0)
-        return est.value, ("exact" if est.side == "exact" else "lower")
-    if isinstance(spec, GaugeOf):
-        from . import convexgeom
-
-        return convexgeom.gauge(spec.body, v), "exact"
-    raise TypeError(f"unknown norm spec {spec!r}")
+    return v
 
 
 def _split_blocks(v: np.ndarray, blocks) -> list:
@@ -435,6 +713,17 @@ def _split_blocks(v: np.ndarray, blocks) -> list:
         out.append(v[pos:pos + blk.dim])
         pos += blk.dim
     return out
+
+
+def _eval_blocks(blocks, v: np.ndarray) -> tuple:
+    """Norms of the consecutive blocks of v, and 'lower' if any of them is."""
+    vals, side = [], "exact"
+    for blk, piece in zip(blocks, _split_blocks(v, blocks)):
+        val, s = blk.norm.evaluate(piece)
+        vals.append(val)
+        if s != "exact":
+            side = "lower"
+    return vals, side
 
 
 def _example54_value(p: float, v: np.ndarray) -> float:
@@ -452,59 +741,20 @@ def _example54_value(p: float, v: np.ndarray) -> float:
 
 def eval_dual_norm(X: NormedLattice, b, budget: int = 2000, seed: int = 0) -> ConstantEstimate:
     """sup{<x, b> : ||x||_X <= 1} with an exact/lower flag and a witness x."""
-    v = as_vector(b)
-    if v.shape[0] != X.dim:
-        raise ValueError(f"vector has dim {v.shape[0]}, lattice has dim {X.dim}")
-    return _dual_norm_of_spec(X.norm, v, budget, seed)
+    return X.norm.dual_norm(_vector_in(X, b), budget, seed)
 
 
-def _dual_norm_of_spec(spec: NormSpec, b: np.ndarray, budget: int, seed: int) -> ConstantEstimate:
-    if isinstance(spec, Lp):
-        ps = conjugate(spec.p)
-        val = _lp_value(ps, b)
-        return ConstantEstimate(val, "exact", _lp_norming(spec.p, b), budget, seed)
-    if isinstance(spec, GaugeOf):
-        from . import convexgeom
-
-        val, g = convexgeom.support_function_witness(spec.body, b)
-        return ConstantEstimate(val, "exact", g, budget, seed)
-    if isinstance(spec, WeightedLorentzPInfty):
-        return _dual_lorentz_pinfty(spec, b, budget, seed)
-    if isinstance(spec, WeightedLorentzQ1):
-        return _dual_lorentz_q1(spec, b, budget, seed)
-    if isinstance(spec, LinfSum):
-        total, side, parts = 0.0, "exact", []
-        for blk, piece in zip(spec.blocks, _split_blocks(b, spec.blocks)):
-            est = _dual_norm_of_spec(blk.norm, piece, budget, seed)
-            total += est.value
-            parts.append(as_vector(est.witness) if est.witness is not None else np.zeros(blk.dim))
-            if est.side != "exact":
-                side = "lower"
-        return ConstantEstimate(total, side, np.concatenate(parts), budget, seed)
-    if isinstance(spec, BlockLorentz):
-        side = "exact"
-        t, wits = [], []
-        for blk, piece in zip(spec.blocks, _split_blocks(b, spec.blocks)):
-            est = _dual_norm_of_spec(blk.norm, piece, budget, seed)
-            t.append(est.value)
-            wits.append(as_vector(est.witness) if est.witness is not None else np.zeros(blk.dim))
-            if est.side != "exact":
-                side = "lower"
-        outer_est = _dual_norm_of_spec(spec.outer, np.array(t), budget, seed)
-        if outer_est.side != "exact":
+def _dual_blocks(blocks, b: np.ndarray, budget: int, seed: int) -> tuple:
+    """Dual norms and witnesses of the consecutive blocks of b, and 'lower' if
+    any of them is."""
+    vals, wits, side = [], [], "exact"
+    for blk, piece in zip(blocks, _split_blocks(b, blocks)):
+        est = blk.norm.dual_norm(piece, budget, seed)
+        vals.append(est.value)
+        wits.append(as_vector(est.witness) if est.witness is not None else np.zeros(blk.dim))
+        if est.side != "exact":
             side = "lower"
-        s = as_vector(outer_est.witness)
-        witness = np.concatenate([s[k] * wits[k] for k in range(len(wits))])
-        return ConstantEstimate(outer_est.value, side, witness, budget, seed)
-    if isinstance(spec, PredualOf):
-        # bipolar: the dual of the predual is the referenced norm itself
-        dim = b.shape[0]
-        val, side = _eval_spec(spec.inner, b)
-        wit = norming_functional(NormedLattice(dim, spec.inner), b)
-        return ConstantEstimate(val, side, wit, budget, seed)
-    if isinstance(spec, Example54Dual):
-        return _dual_example54(spec, b, budget, seed)
-    raise TypeError(f"unknown norm spec {spec!r}")
+    return vals, wits, side
 
 
 def _lp_norming(p_of_ball: float, b: np.ndarray) -> np.ndarray:
@@ -522,7 +772,7 @@ def _lp_norming(p_of_ball: float, b: np.ndarray) -> np.ndarray:
         return x
     q = conjugate(p_of_ball)
     y = a ** (q - 1.0)
-    return s * y / _lp_value(p_of_ball, y)
+    return s * y / float(lp_norm(y, p_of_ball))
 
 
 def _density_order(a: np.ndarray, w: np.ndarray) -> tuple:
@@ -530,21 +780,6 @@ def _density_order(a: np.ndarray, w: np.ndarray) -> tuple:
     the prefix masses of w along that order."""
     order = np.argsort(-(a / w), kind="stable")
     return order, np.cumsum(w[order])
-
-
-def _dual_lorentz_pinfty(spec: WeightedLorentzPInfty, b: np.ndarray, budget: int, seed: int) -> ConstantEstimate:
-    a = np.abs(b)
-    sgn = np.where(b < 0, -1.0, 1.0)
-    if spec.r > 1:
-        return _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed)
-    # with v = w u the [1]-ball is {v >= 0 : v(A) <= mu(A)^{1/p*}}, a polymatroid
-    # (a concave power of a modular function is submodular), so Edmonds' greedy
-    # along decreasing |b_i|/w_i maximizes <|b|, u> exactly (Edmonds 1970)
-    w = spec.measure.as_array
-    order, mass = _density_order(a, w)
-    u = np.zeros_like(a)
-    u[order] = np.diff(mass ** (1.0 - 1.0 / spec.p), prepend=0.0) / w[order]
-    return ConstantEstimate(float(a @ u), "exact", sgn * u, budget, seed)
 
 
 def _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed) -> ConstantEstimate:
@@ -601,147 +836,16 @@ def _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed) -> ConstantEstimate
     return ConstantEstimate(best_val, "lower", sgn * best_f, budget, seed)
 
 
-def _dual_lorentz_q1(spec: WeightedLorentzQ1, b: np.ndarray, budget: int, seed: int) -> ConstantEstimate:
-    """The positive face of the q,1-ball is the convex hull of the normalized
-    indicators 1_A / (q mu(A)^{1/q}) (layer-cake additivity), so the dual norm
-    is max_A sum_{i in A} |b_i| / (q mu(A)^{1/q}).  As for the [r]-norm, that
-    max is attained at a superlevel set, here of the density |b_i|/w_i: one
-    prefix scan of the density order is exact at every atom count."""
-    w = spec.measure.as_array
-    a = np.abs(b)
-    q = spec.q
-    order, mass = _density_order(a, w)
-    vals = np.cumsum(a[order]) / (q * mass ** (1.0 / q))
-    k = int(np.argmax(vals))
-    x = np.zeros_like(a)
-    top = order[:k + 1]
-    x[top] = np.where(b[top] < 0, -1.0, 1.0) / (q * mass[k] ** (1.0 / q))
-    return ConstantEstimate(float(vals[k]), "exact", x, budget, seed)
-
-
-def _dual_example54(spec: Example54Dual, b: np.ndarray, budget: int, seed: int) -> ConstantEstimate:
-    """sup{<x,b> : ||x||_{three-term max} <= 1} via SLSQP on the positive
-    orthant plus multistart ascent; certified one-sided."""
-    ps = conjugate(spec.p)
-    a = np.abs(b)
-    sgn = np.where(np.sign(b) == 0, 1.0, np.sign(b))
-
-    def cons_val(x):
-        x = np.abs(x)
-        out = []
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-            out.append(1.0 - (x[i] ** ps + (x[j] + x[k]) ** ps))
-        return np.array(out)
-
-    best_x, best_val = np.zeros(3), 0.0
-    rng = rng_for(seed, "ex54-dual")
-    starts = [np.full(3, 0.3), np.array([0.9, 0.05, 0.05]), np.array([0.05, 0.9, 0.05]),
-              np.array([0.05, 0.05, 0.9])]
-    for _ in range(max(8, min(32, budget // 100))):
-        starts.append(rng.random(3) * 0.8 + 0.05)
-    for x0 in starts:
-        res = minimize(lambda x: -float(a @ x), x0, constraints=[{"type": "ineq", "fun": cons_val}],
-                       bounds=[(0, None)] * 3, method="SLSQP",
-                       options={"maxiter": 200, "ftol": 1e-14})
-        x = np.maximum(res.x, 0.0)
-        nv = _example54_value(spec.p, x)
-        if nv > 0:
-            x = x / max(nv, 1.0)
-        val = float(a @ x)
-        if val > best_val:
-            best_val, best_x = val, x
-    return ConstantEstimate(best_val, "lower", sgn * best_x, budget, seed)
-
-
 # ---------------------------------------------------------------------------
 # norming functionals (subgradients)
 
 
 def norming_functional(X: NormedLattice, a) -> np.ndarray:
     """b with ||b||_{X*} <= 1 and <a, b> = ||a||_X (a norm subgradient at a)."""
-    v = as_vector(a)
-    if v.shape[0] != X.dim:
-        raise ValueError("dimension mismatch")
+    v = _vector_in(X, a)
     if not np.any(v != 0):
         return np.zeros(X.dim)
-    return _norming(X.norm, v)
-
-
-def _norming(spec: NormSpec, a: np.ndarray) -> np.ndarray:
-    if isinstance(spec, Lp):
-        p = spec.p
-        s = np.sign(a)
-        m = np.abs(a)
-        if p == math.inf:
-            b = np.zeros_like(a)
-            i = int(np.argmax(m))
-            b[i] = s[i]
-            return b
-        if p == 1:
-            return s
-        nrm = _lp_value(p, a)
-        return s * (m / nrm) ** (p - 1.0)
-    if isinstance(spec, WeightedLorentzPInfty):
-        from . import lorentz
-
-        f = lorentz.StepFunction(tuple(a.tolist()), spec.measure)
-        _, mask = lorentz.norm_pinfty_r_argmax(f, spec.p, spec.r)
-        w = spec.measure.as_array
-        m = np.abs(a)
-        mass = float(mask @ w)
-        integ = float(np.sum(mask * w * m ** spec.r))
-        coef = mass ** (inv(spec.p) - 1.0 / spec.r) * integ ** (1.0 / spec.r - 1.0)
-        b = coef * mask * w * m ** (spec.r - 1.0) * np.sign(a)
-        return b
-    if isinstance(spec, WeightedLorentzQ1):
-        w = spec.measure.as_array
-        m = np.abs(a)
-        order = np.argsort(-m, kind="stable")
-        cum = np.concatenate([[0.0], np.cumsum(w[order])])
-        marg = spec.q * (cum[1:] ** (1.0 / spec.q) - cum[:-1] ** (1.0 / spec.q))
-        b = np.zeros_like(a)
-        b[order] = marg
-        return b * np.sign(a)
-    if isinstance(spec, LinfSum):
-        pieces = _split_blocks(a, spec.blocks)
-        vals = [eval_norm(blk, piece) for blk, piece in zip(spec.blocks, pieces)]
-        i = int(np.argmax(vals))
-        out = [np.zeros(blk.dim) for blk in spec.blocks]
-        out[i] = norming_functional(spec.blocks[i], pieces[i])
-        return np.concatenate(out)
-    if isinstance(spec, BlockLorentz):
-        pieces = _split_blocks(a, spec.blocks)
-        t = np.array([eval_norm(blk, piece) for blk, piece in zip(spec.blocks, pieces)])
-        beta = _norming(spec.outer, t) if np.any(t > 0) else np.zeros(len(t))
-        parts = []
-        for k, (blk, piece) in enumerate(zip(spec.blocks, pieces)):
-            bf = norming_functional(blk, piece) if t[k] > 0 else np.zeros(blk.dim)
-            parts.append(beta[k] * bf)
-        return np.concatenate(parts)
-    if isinstance(spec, Example54Dual):
-        ps = conjugate(spec.p)
-        m = np.abs(a)
-        best, arg = -1.0, None
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-            val = (m[i] ** ps + (m[j] + m[k]) ** ps) ** (1.0 / ps)
-            if val > best:
-                best, arg = val, (i, j, k)
-        i, j, k = arg
-        b = np.zeros(3)
-        if best > 0:
-            b[i] = m[i] ** (ps - 1.0)
-            b[j] = (m[j] + m[k]) ** (ps - 1.0)
-            b[k] = b[j]
-            b *= best ** (1.0 - ps)
-        return b * np.sign(a)
-    if isinstance(spec, PredualOf):
-        est = _dual_norm_of_spec(spec.inner, a, budget=2000, seed=0)
-        return as_vector(est.witness)
-    if isinstance(spec, GaugeOf):
-        from . import convexgeom
-
-        return convexgeom.gauge_norming(spec.body, a)
-    raise TypeError(f"unknown norm spec {spec!r}")
+    return X.norm.norming(v)
 
 
 # ---------------------------------------------------------------------------
@@ -749,11 +853,23 @@ def _norming(spec: NormSpec, a: np.ndarray) -> np.ndarray:
 
 
 class LatticeSchemaError(ValueError):
-    """Schema violation with a JSON-pointer-style path to the offending field."""
+    """Schema violation with a JSON-pointer-style path to the offending field.
+
+    Constructors raise it with a path relative to their own document (``r``,
+    ``weights/1``); the parsers put the document's path in front."""
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path or '/'}: {message}")
+
+
+def _built(path: str, make, *args):
+    """make(*args), with the path of a LatticeSchemaError it raises moved below ``path``."""
+    try:
+        return make(*args)
+    except LatticeSchemaError as e:
+        raise LatticeSchemaError(f"{path}/{e.path}" if e.path else path, e.message) from None
 
 
 def _want(doc, key, path, types, type_name):
@@ -778,122 +894,22 @@ def _parse_exponent(doc, key, path):
 
 def _parse_weights(doc, path):
     raw = _want(doc, "weights", path, list, "a list of positive numbers")
-    ws = []
     for i, w in enumerate(raw):
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise LatticeSchemaError(f"{path}/weights/{i}", "expected a number")
-        if not w > 0:
-            raise LatticeSchemaError(f"{path}/weights/{i}", f"weight must be > 0, got {w}")
-        ws.append(float(w))
-    if not ws:
-        raise LatticeSchemaError(f"{path}/weights", "needs at least one atom")
-    return AtomicMeasure(tuple(ws))
+    return _built(path, AtomicMeasure, tuple(float(w) for w in raw))
 
 
-def _norm_from_dict(doc, path: str) -> NormSpec:
-    kind = _want(doc, "kind", path, str, "a string")
-    if kind == "lp":
-        p = _parse_exponent(doc, "p", path)
-        if not 1 <= p:
-            raise LatticeSchemaError(f"{path}/p", f"p must lie in [1, inf], got {p}")
-        return Lp(p)
-    if kind == "lorentz_pinfty":
-        p = _parse_exponent(doc, "p", path)
-        r = _parse_exponent(doc, "r", path)
-        if not 1 < p < math.inf:
-            raise LatticeSchemaError(f"{path}/p", f"p must lie in (1, inf), got {p}")
-        if not 1 <= r:
-            raise LatticeSchemaError(f"{path}/r", f"r must be >= 1, got {r}")
-        if r >= p:
-            raise LatticeSchemaError(f"{path}/r", f"requires r < p, got r={r}, p={p}")
-        return WeightedLorentzPInfty(p, r, _parse_weights(doc, path))
-    if kind == "lorentz_q1":
-        q = _parse_exponent(doc, "q", path)
-        if not 1 < q < math.inf:
-            raise LatticeSchemaError(f"{path}/q", f"q must lie in (1, inf), got {q}")
-        return WeightedLorentzQ1(q, _parse_weights(doc, path))
-    if kind == "linf_sum":
-        blocks_raw = _want(doc, "blocks", path, list, "a list of lattice documents")
-        if not blocks_raw:
-            raise LatticeSchemaError(f"{path}/blocks", "needs at least one block")
-        blocks = tuple(lattice_from_dict(b, f"{path}/blocks/{i}") for i, b in enumerate(blocks_raw))
-        return LinfSum(blocks)
-    if kind == "block_lorentz":
-        outer_raw = _want(doc, "outer", path, dict, "a norm document")
-        outer = _norm_from_dict(outer_raw, f"{path}/outer")
-        if not isinstance(outer, (Lp, WeightedLorentzPInfty)):
-            raise LatticeSchemaError(f"{path}/outer/kind", "outer norm must be lp or lorentz_pinfty")
-        blocks_raw = _want(doc, "blocks", path, list, "a list of lattice documents")
-        if not blocks_raw:
-            raise LatticeSchemaError(f"{path}/blocks", "needs at least one block")
-        blocks = tuple(lattice_from_dict(b, f"{path}/blocks/{i}") for i, b in enumerate(blocks_raw))
-        if isinstance(outer, WeightedLorentzPInfty) and outer.measure.dim != len(blocks):
-            raise LatticeSchemaError(f"{path}/outer/weights",
-                                     "outer measure must have one atom per block")
-        return BlockLorentz(outer, blocks)
-    if kind == "example54_dual":
-        p = _parse_exponent(doc, "p", path)
-        if not 1 < p < math.inf:
-            raise LatticeSchemaError(f"{path}/p", f"p must lie in (1, inf), got {p}")
-        return Example54Dual(p)
-    if kind == "predual_of":
-        inner_raw = _want(doc, "inner", path, dict, "a norm document")
-        inner = _norm_from_dict(inner_raw, f"{path}/inner")
-        if isinstance(inner, PredualOf):
-            raise LatticeSchemaError(f"{path}/inner/kind", "predual_of may not be nested more than once")
-        return PredualOf(inner)
-    if kind == "gauge_of":
-        from . import convexgeom
-
-        gens_raw = _want(doc, "generators", path, list, "a list of vectors")
-        if not gens_raw:
-            raise LatticeSchemaError(f"{path}/generators", "needs at least one generator")
-        gens = []
-        for i, g in enumerate(gens_raw):
-            if not isinstance(g, list) or not g:
-                raise LatticeSchemaError(f"{path}/generators/{i}", "expected a nonempty list of numbers")
-            for j, x in enumerate(g):
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise LatticeSchemaError(f"{path}/generators/{i}/{j}", "expected a number")
-            gens.append(tuple(float(x) for x in g))
-        if len({len(g) for g in gens}) != 1:
-            raise LatticeSchemaError(f"{path}/generators", "generators must share one dimension")
-        return GaugeOf(convexgeom.SolidConvexBody(tuple(gens)))
-    raise LatticeSchemaError(f"{path}/kind", f"unknown norm kind {kind!r}")
+def _parse_blocks(doc, path):
+    raw = _want(doc, "blocks", path, list, "a list of lattice documents")
+    return tuple(lattice_from_dict(b, f"{path}/blocks/{i}") for i, b in enumerate(raw))
 
 
 def lattice_from_dict(doc, path: str = "") -> NormedLattice:
     dim = _want(doc, "dim", path, int, "a positive integer")
-    if dim < 1:
-        raise LatticeSchemaError(f"{path}/dim", f"dim must be >= 1, got {dim}")
-    norm_raw = _want(doc, "norm", path, dict, "a norm document")
-    norm = _norm_from_dict(norm_raw, f"{path}/norm")
-    forced = _spec_dim(norm)
-    if forced is not None and forced != dim:
-        raise LatticeSchemaError(f"{path}/dim", f"norm spec forces dimension {forced}, document says {dim}")
-    return NormedLattice(dim, norm)
-
-
-def _norm_to_dict(spec: NormSpec) -> dict:
-    if isinstance(spec, Lp):
-        return {"kind": "lp", "p": ("inf" if spec.p == math.inf else spec.p)}
-    if isinstance(spec, WeightedLorentzPInfty):
-        return {"kind": "lorentz_pinfty", "p": spec.p, "r": spec.r, "weights": list(spec.measure.weights)}
-    if isinstance(spec, WeightedLorentzQ1):
-        return {"kind": "lorentz_q1", "q": spec.q, "weights": list(spec.measure.weights)}
-    if isinstance(spec, LinfSum):
-        return {"kind": "linf_sum", "blocks": [lattice_to_dict(b) for b in spec.blocks]}
-    if isinstance(spec, BlockLorentz):
-        return {"kind": "block_lorentz", "outer": _norm_to_dict(spec.outer),
-                "blocks": [lattice_to_dict(b) for b in spec.blocks]}
-    if isinstance(spec, Example54Dual):
-        return {"kind": "example54_dual", "p": spec.p}
-    if isinstance(spec, PredualOf):
-        return {"kind": "predual_of", "inner": _norm_to_dict(spec.inner)}
-    if isinstance(spec, GaugeOf):
-        return {"kind": "gauge_of", "generators": [list(g) for g in spec.body.generators]}
-    raise TypeError(f"unknown norm spec {spec!r}")
+    norm = NormSpec.from_dict(_want(doc, "norm", path, dict, "a norm document"), f"{path}/norm")
+    return _built(path, NormedLattice, dim, norm)
 
 
 def lattice_to_dict(lat: NormedLattice) -> dict:
-    return {"dim": lat.dim, "norm": _norm_to_dict(lat.norm)}
+    return {"dim": lat.dim, "norm": lat.norm.to_dict()}

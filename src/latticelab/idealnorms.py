@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import conjugate, rng_for
+from ._util import conjugate, lp_norm, rng_for
 from .core import (
     ConstantEstimate,
     GaugeOf,
@@ -88,19 +88,13 @@ class TensorRep:
         }
 
 
-def _power_sum(vals: np.ndarray, expo: float, axis=0) -> np.ndarray:
-    if expo == math.inf:
-        return np.max(np.abs(vals), axis=axis)
-    return np.sum(np.abs(vals) ** expo, axis=axis) ** (1.0 / expo)
-
-
 def _dual_norms(spec: NormSpec, rows: np.ndarray) -> np.ndarray:
     """Dual norms of functionals against an Lp-family primal norm."""
     from .core import Lp
 
     if not isinstance(spec, Lp):
         raise ValueError("functional sequence norms need an l_p family space")
-    return _power_sum(rows, conjugate(spec.p), axis=1)
+    return lp_norm(rows, conjugate(spec.p), axis=1)
 
 
 def theta_value(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
@@ -109,14 +103,14 @@ def theta_value(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
     their l_p(E*) and l_{q*}(F*) sequence norms."""
     Xs = np.atleast_2d(np.asarray(xstars, dtype=float))
     Ys = np.atleast_2d(np.asarray(ystars, dtype=float))
-    nx = _power_sum(_dual_norms(E_norm, Xs), rep.p)
-    ny = _power_sum(_dual_norms(F_norm, Ys), conjugate(rep.q))
+    nx = lp_norm(_dual_norms(E_norm, Xs), rep.p, axis=0)
+    ny = lp_norm(_dual_norms(F_norm, Ys), conjugate(rep.q), axis=0)
     if nx <= 0 or ny <= 0:
         return 0.0
     ex = Xs @ rep.x_matrix().T          # (L, n) evaluations x*_k(x_i)
     ey = Ys @ rep.y_matrix().T
-    left = _power_sum(ex, rep.p2, axis=0)
-    right = _power_sum(ey, conjugate(rep.q2), axis=0)
+    left = lp_norm(ex, rep.p2, axis=0)
+    right = lp_norm(ey, conjugate(rep.q2), axis=0)
     return float(np.sum(left * right) / (nx * ny))
 
 
@@ -183,8 +177,8 @@ def theta_lower(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
             best, best_wit = val, cur
     wit = None
     if best_wit is not None:
-        nx = _power_sum(_dual_norms(E_norm, best_wit[0]), rep.p)
-        ny = _power_sum(_dual_norms(F_norm, best_wit[1]), conjugate(rep.q))
+        nx = lp_norm(_dual_norms(E_norm, best_wit[0]), rep.p, axis=0)
+        ny = lp_norm(_dual_norms(F_norm, best_wit[1]), conjugate(rep.q), axis=0)
         wit = (best_wit[0] / nx, best_wit[1] / ny)
     return ConstantEstimate(best, "lower", wit, budget, seed)
 
@@ -196,11 +190,11 @@ def theta_lower(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
 def _w_generator(rep: TensorRep, F_norm: NormSpec, ys_rows: np.ndarray):
     """w_i = (sum_j |y*_j(y_i)|^{q2*})^{1/q2*} for the normalized sequence."""
     norms = _dual_norms(F_norm, ys_rows)
-    total = _power_sum(norms, conjugate(rep.q))
+    total = lp_norm(norms, conjugate(rep.q), axis=0)
     if total <= 0:
         return None
     ev = ys_rows @ rep.y_matrix().T
-    return _power_sum(ev, conjugate(rep.q2), axis=0) / total
+    return lp_norm(ev, conjugate(rep.q2), axis=0) / total
 
 
 def _evaluation_body(rep: TensorRep, F_norm: NormSpec, trunc_len: int,
@@ -300,10 +294,7 @@ def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
         if degenerate or est_S.value <= 1 + 5e-3 or not est_S.witness:
             break
         fam = np.stack([as_vector(w) for w in est_S.witness])
-        if rep.q2 == math.inf:
-            v = np.max(np.abs(fam), axis=0)
-        else:
-            v = np.sum(np.abs(fam) ** rep.q2, axis=0) ** (1.0 / rep.q2)
+        v = lp_norm(fam, rep.q2, axis=0)
         w_new = _maximize_w(rep, F_norm, v, trunc_len, est_budget,
                             seed + 7 * round_ + 1)
         if w_new is None or not np.any(w_new > 0):

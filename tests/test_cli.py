@@ -225,6 +225,10 @@ def test_geom_gauge_inf(tmp_path, capsys):
     code, _, err = run_cli(["geom", "gauge", "--body", bad, "--y", "1"], capsys)
     assert code == 1 and "/generators" in err
 
+    bad = write_doc(tmp_path, "nan.json", {"generators": [[1.0, 0.0], [0.5, math.nan]]})
+    code, _, err = run_cli(["geom", "gauge", "--body", bad, "--y", "1,1"], capsys)
+    assert code == 1 and "/generators/1/1" in err
+
 
 def test_geom_polarity_command(tmp_path, capsys):
     op = write_doc(tmp_path, "op.json", OP_DIAG)

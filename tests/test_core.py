@@ -308,6 +308,15 @@ def test_schema_error_paths():
                                                  "weights": [1.0, -1.0]}})
     assert e.value.path == "/norm/weights/1"
     with pytest.raises(ll.LatticeSchemaError) as e:
+        ll.lattice_from_dict(json.loads('{"dim": 1, "norm": {"kind": "lorentz_q1", "q": 2, '
+                                        '"weights": [Infinity]}}'))
+    assert e.value.path == "/norm/weights/0"
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ll.LatticeSchemaError) as e:
+            ll.lattice_from_dict(json.loads('{"dim": 2, "norm": {"kind": "gauge_of", '
+                                            f'"generators": [[1, 0], [0.5, {bad}]]}}}}'))
+        assert e.value.path == "/norm/generators/1/1"
+    with pytest.raises(ll.LatticeSchemaError) as e:
         ll.lattice_from_dict({"dim": 2, "norm": {"kind": "predual_of",
                                                  "inner": {"kind": "predual_of",
                                                            "inner": {"kind": "lp", "p": 2.0}}}})
@@ -336,3 +345,47 @@ def test_canonical_json_is_stable():
                                               allow_nan=True)))
     assert s1 == s2
     assert "1.5" in s1 and s1.index('"a"') < s1.index('"b"') < s1.index('"c"')
+
+
+# ---------------------------------------------------------------------------
+# the NormSpec protocol, once per kind
+
+_MU3 = ll.AtomicMeasure((1.0, 2.0, 0.5))
+_NL = ll.NormedLattice
+PROTOCOL_LATTICES = {
+    "lp_1": _NL(3, ll.Lp(1)),
+    "lp_2.5": _NL(3, ll.Lp(2.5)),
+    "lp_inf": _NL(3, ll.Lp(math.inf)),
+    "lorentz_pinfty_r1": _NL(3, ll.WeightedLorentzPInfty(2.5, 1, _MU3)),
+    "lorentz_pinfty_r1.5": _NL(3, ll.WeightedLorentzPInfty(3, 1.5, _MU3)),
+    "lorentz_q1": _NL(3, ll.WeightedLorentzQ1(2, _MU3)),
+    "linf_sum": _NL(4, ll.LinfSum((_NL(2, ll.Lp(1)),
+                                   _NL(2, ll.WeightedLorentzQ1(2, ll.AtomicMeasure((1.0, 3.0))))))),
+    "block_lorentz_lp": _NL(3, ll.BlockLorentz(ll.Lp(3), (_NL(2, ll.Lp(2)), _NL(1, ll.Lp(1))))),
+    "block_lorentz_pinfty": _NL(3, ll.BlockLorentz(ll.WeightedLorentzPInfty(2, 1, CM(2)),
+                                                   (_NL(2, ll.Lp(2)), _NL(1, ll.Lp(1))))),
+    "example54_dual": _NL(3, ll.Example54Dual(2)),
+    "predual_of": _NL(3, ll.PredualOf(ll.Example54Dual(2))),
+    "gauge_of": _NL(3, ll.GaugeOf(ll.SolidConvexBody(((1.0, 0.5, 0.0), (0.2, 1.0, 0.3),
+                                                      (0.0, 0.4, 1.0), (0.6, 0.6, 0.6))))),
+}
+
+
+@pytest.mark.parametrize("name", list(PROTOCOL_LATTICES))
+def test_norm_spec_protocol(name):
+    X = PROTOCOL_LATTICES[name]
+    spec = X.norm
+    rows = np.random.default_rng(11).standard_normal((8, X.dim))
+    for a in rows:
+        b = ll.norming_functional(X, a)
+        assert float(a @ b) == pytest.approx(ll.eval_norm(X, a), rel=1e-12)
+        assert ll.eval_dual_norm(X, b).value <= 1 + 1e-12
+    batched = spec.eval_rows(rows)
+    rowwise = np.array([spec.evaluate(row)[0] for row in rows])
+    if isinstance(spec, ll.Lp):
+        # one vectorised power sum: numpy's SIMD pow on arrays may round the
+        # last bit differently from the scalar pow that evaluate uses
+        np.testing.assert_allclose(batched, rowwise, rtol=4 * np.finfo(float).eps, atol=0)
+    else:
+        assert np.array_equal(batched, rowwise)
+    assert ll.NormSpec.from_dict(spec.to_dict()) == spec
