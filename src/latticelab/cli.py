@@ -50,6 +50,7 @@ from .core import (
     eval_norm,
     lattice_from_dict,
     lattice_to_dict,
+    _json_float,
 )
 from .embedcert import (
     CoveringFamily,
@@ -207,6 +208,10 @@ def _load_operator(path: str) -> LinOperator:
     raw = doc["matrix"]
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise LatticeSchemaError("/matrix", "expected a list of rows")
+    for i, row in enumerate(raw):
+        for j, x in enumerate(row):
+            if isinstance(x, int):
+                _json_float(x, f"/matrix/{i}/{j}")
     try:
         mat = np.array(raw, dtype=float)
     except (TypeError, ValueError):
@@ -225,7 +230,7 @@ def _num_field(doc: dict, key: str, path: str) -> float:
         return math.inf
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise LatticeSchemaError(f"{path}/{key}", "expected a number or 'inf'")
-    return float(val)
+    return _json_float(val, f"{path}/{key}")
 
 
 def _load_rep(path: str):
@@ -247,6 +252,7 @@ def _load_rep(path: str):
             for j, v in enumerate(vec):
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise LatticeSchemaError(f"/pairs/{i}/{side}/{j}", "expected a number")
+                _json_float(v, f"/pairs/{i}/{side}/{j}")
         pairs.append((tuple(float(v) for v in pr["x"]), tuple(float(v) for v in pr["y"])))
     exps = doc.get("exponents")
     if not isinstance(exps, dict):

@@ -17,7 +17,8 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
+# linprog is unused here, but perfbench/tracer.py wraps convexgeom.linprog by name
+from scipy.optimize import linprog  # noqa: F401
 
 from ._util import conjugate, lp_norm, rng_for
 from .core import (
@@ -32,6 +33,7 @@ from .core import (
     sigma_apply,
     sigma_dual,
     _built,
+    _json_float,
     _want,
 )
 
@@ -81,15 +83,21 @@ class SolidConvexBody:
         """Parse ``{"generators": [[...], ...]}``; every entry must be a finite
         number.  Error paths are prefixed by ``path``."""
         raw = _want(doc, "generators", path, list, "a list of vectors")
+        gens = []
         for i, g in enumerate(raw):
             if not isinstance(g, list) or not g:
                 raise LatticeSchemaError(f"{path}/generators/{i}", "expected a nonempty list of numbers")
+            row = []
             for j, x in enumerate(g):
+                at = f"{path}/generators/{i}/{j}"
                 if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise LatticeSchemaError(f"{path}/generators/{i}/{j}", "expected a number")
+                    raise LatticeSchemaError(at, "expected a number")
+                x = _json_float(x, at)
                 if not math.isfinite(x):
-                    raise LatticeSchemaError(f"{path}/generators/{i}/{j}", f"entry must be finite, got {x}")
-        return _built(path, SolidConvexBody, tuple(tuple(float(x) for x in g) for g in raw))
+                    raise LatticeSchemaError(at, f"entry must be finite, got {x}")
+                row.append(x)
+            gens.append(tuple(row))
+        return _built(path, SolidConvexBody, tuple(gens))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,44 +109,123 @@ class FactorizationTriple:
     report: dict = field(default_factory=dict)
 
 
-def gauge(B: SolidConvexBody, y) -> float:
-    """Minkowski functional: min sum lambda_k s.t. |y| <= sum lambda_k |g_k|,
-    lambda >= 0; infinity when y is outside the ideal spanned by generators."""
-    v = np.abs(as_vector(y))
+def _body_vector(B: SolidConvexBody, y) -> np.ndarray:
+    v = as_vector(y)
     if v.shape[0] != B.dim:
         raise ValueError(f"vector has dim {v.shape[0]}, body has dim {B.dim}")
-    if not np.any(v > 0):
-        return 0.0
-    G = B.gen_matrix
-    # quick infeasibility: a coordinate of y outside every generator support
-    if np.any((v > 0) & (G.sum(axis=0) <= 0)):
-        return math.inf
-    k = G.shape[0]
-    res = linprog(np.ones(k), A_ub=-G.T, b_ub=-v, bounds=[(0, None)] * k, method="highs")
-    if res.status == 2:
-        return math.inf
-    if res.status != 0:  # pragma: no cover - bounded by construction
-        raise RuntimeError(f"gauge LP failed: {res.message}")
-    return max(float(res.fun), 0.0)
+    return v
+
+
+# on the scaled tableau: a pivot entry or step at most _PIVOT_EPS counts as
+# zero, and a reduced cost must be below -_COST_EPS to enter
+_PIVOT_EPS = 1e-12
+_COST_EPS = 1e-15
+# relative slack allowed in the feasibility certificate of z and lam
+_CERT_TOL = 1e-12
+
+
+def _gauge_lp(G: np.ndarray, a: np.ndarray):
+    """max <a, z> s.t. G z <= 1, z >= 0, for G, a >= 0: the dual of the gauge LP
+    min sum(lam) s.t. G^T lam >= a, lam >= 0.  Returns the optimal z, or None
+    when the gauge is infinite (some a_j > 0 meets a zero column of G).
+
+    A dense dictionary simplex on the (k+1) x (d+1) tableau of G, with its
+    columns scaled to max 1, started at the feasible vertex z = 0.  Dantzig's
+    rule picks the entering variable, and Bland's rule the pivot after a
+    degenerate one, so it cannot cycle.  The final basis is solved again on
+    the unscaled data for z and for the multipliers lam, which must both be
+    feasible within ``_CERT_TOL`` relative (G z <= 1, G^T lam >= a);
+    otherwise RuntimeError.  Then <a, z> <= gauge <= sum(lam), and the two
+    agree up to the rounding of the basis solves."""
+    k, d = G.shape
+    z, lam = np.zeros(d), np.zeros(k)
+    amax = a.max()
+    if amax == 0.0:
+        return z
+    scale = G.max(axis=0)
+    zero = scale == 0.0
+    if zero.any():
+        if a[zero].any():
+            return None
+        scale[zero] = 1.0   # a zero column has cost 0 and never enters
+    T = np.empty((k + 1, d + 1))
+    T[:k, :d] = G / scale
+    T[:k, d] = 1.0
+    c = a / scale
+    T[k, :d] = c / -c.max()
+    T[k, d] = 0.0
+    # variable labels: z_j is j, the slack of row i is d + i
+    basic = list(range(d, d + k))
+    nonbasic = list(range(d))
+    rhs, cost = T[:k, d], T[k, :d]   # views; rhs is kept >= 0 after each pivot
+    ratio = np.empty(k)
+    bland = False
+    for _ in range(50 * (k + d)):
+        if bland:
+            enter = [j for j in range(d) if cost[j] < -_COST_EPS]
+            if not enter:
+                break
+            e = min(enter, key=nonbasic.__getitem__)
+        else:
+            e = int(cost.argmin())
+            if cost[e] >= -_COST_EPS:
+                break
+        col = T[:, e].copy()
+        colk = col[:k]
+        ratio.fill(np.inf)
+        np.divide(rhs, colk, out=ratio, where=colk > _PIVOT_EPS)
+        r = int(ratio.argmin())
+        step = ratio[r]
+        if step == np.inf:
+            raise RuntimeError("gauge LP failed: no pivot row on a bounded problem")
+        if bland:   # leaving row: the smallest label among the tied rows
+            r = min((ratio == step).nonzero()[0], key=basic.__getitem__)
+        bland = step <= _PIVOT_EPS
+        p = col[r]
+        col[r] = 0.0
+        T[r] /= p
+        T -= col[:, None] * T[r]
+        col /= -p
+        col[r] = 1.0 / p
+        T[:, e] = col
+        np.maximum(rhs, 0.0, out=rhs)
+        basic[r], nonbasic[e] = nonbasic[e], basic[r]
+    else:
+        raise RuntimeError("gauge LP failed: pivot limit reached")
+    J = [j for j in basic if j < d]
+    R = [i - d for i in nonbasic if i >= d]
+    if J:
+        M = G[R][:, J]
+        try:
+            z[J] = np.maximum(np.linalg.solve(M, np.ones(len(J))), 0.0)
+            lam[R] = np.maximum(np.linalg.solve(M.T, a[J]), 0.0)
+        except np.linalg.LinAlgError:
+            raise RuntimeError("gauge LP failed: singular final basis") from None
+    if not ((G @ z).max() <= 1.0 + _CERT_TOL and (G.T @ lam - a).min() >= -_CERT_TOL * amax):
+        raise RuntimeError("gauge LP failed: final basis is not certified feasible")
+    return z
+
+
+def gauge(B: SolidConvexBody, y) -> float:
+    """Minkowski functional: min sum lambda_k s.t. |y| <= sum lambda_k |g_k|,
+    lambda >= 0; infinity when y is outside the ideal spanned by generators.
+
+    Solved exactly by the dense simplex ``_gauge_lp`` on the dual LP; the
+    value <|y|, z> comes with a feasible z and lambda, certified within 1e-12
+    relative, so a generator never has gauge above 1 + 1e-12."""
+    a = np.abs(_body_vector(B, y))
+    z = _gauge_lp(B.gen_matrix, a)
+    return math.inf if z is None else float(a @ z)
 
 
 def gauge_norming(B: SolidConvexBody, y) -> np.ndarray:
-    """b with <y, b> = gauge(y) and support_function(B, b) <= 1 (LP duality)."""
-    v = as_vector(y)
-    a = np.abs(v)
-    if not np.any(a > 0):
-        return np.zeros(B.dim)
-    G = B.gen_matrix
-    if np.any((a > 0) & (G.sum(axis=0) <= 0)):
+    """b with <y, b> = gauge(y) and support_function(B, b) <= 1: sgn(y) z for
+    the optimal dual point z of ``_gauge_lp`` (G z <= 1 within 1e-12)."""
+    v = _body_vector(B, y)
+    z = _gauge_lp(B.gen_matrix, np.abs(v))
+    if z is None:
         raise ValueError("gauge is infinite here; no norming functional")
-    k = G.shape[0]
-    res = linprog(np.ones(k), A_ub=-G.T, b_ub=-a, bounds=[(0, None)] * k, method="highs")
-    if res.status != 0:
-        raise ValueError("gauge is infinite here; no norming functional")
-    z = -np.asarray(res.ineqlin.marginals)
-    z = np.maximum(z, 0.0)
-    sgn = np.where(np.sign(v) == 0, 1.0, np.sign(v))
-    return sgn * z
+    return np.where(v < 0, -1.0, 1.0) * z
 
 
 def body_contains(B: SolidConvexBody, y, tol: float = 1e-9) -> bool:
@@ -151,9 +238,7 @@ def support_function(B: SolidConvexBody, b) -> float:
 
 def support_function_witness(B: SolidConvexBody, b):
     """max over generators of <|g_k|, |b|>, with the attaining body point."""
-    v = as_vector(b)
-    if v.shape[0] != B.dim:
-        raise ValueError(f"vector has dim {v.shape[0]}, body has dim {B.dim}")
+    v = _body_vector(B, b)
     G = B.gen_matrix
     vals = G @ np.abs(v)
     k = int(np.argmax(vals))
@@ -225,13 +310,15 @@ def _prune_generators(gens: np.ndarray, cap: int = 1000) -> np.ndarray:
     keep = np.unique(np.round(keep, 12), axis=0)
     order = np.argsort(-keep.sum(axis=1))
     keep = keep[order]
-    out = []
+    out = np.empty((min(cap, len(keep)), keep.shape[1]))
+    n = 0
     for row in keep:
-        if not any(np.all(row <= prev + 1e-12) for prev in out):
-            out.append(row)
-        if len(out) >= cap:
-            break
-    return np.array(out)
+        if not np.any(np.all(row <= out[:n] + 1e-12, axis=1)):
+            out[n] = row
+            n += 1
+            if n >= cap:
+                break
+    return out[:n]
 
 
 def _with_extra(body: SolidConvexBody, extra) -> SolidConvexBody:

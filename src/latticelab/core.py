@@ -883,21 +883,32 @@ def _want(doc, key, path, types, type_name):
     return val
 
 
+def _json_float(val, path: str) -> float:
+    """float(val) for a JSON number; an integer beyond the float range is a
+    schema error at ``path``, not an OverflowError."""
+    try:
+        return float(val)
+    except OverflowError:
+        raise LatticeSchemaError(path, "number is too large for a float") from None
+
+
 def _parse_exponent(doc, key, path):
     val = _want(doc, key, path, (int, float, str), "a number or 'inf'")
     if isinstance(val, str):
         if val == "inf":
             return math.inf
         raise LatticeSchemaError(f"{path}/{key}", f"expected a number or 'inf', got {val!r}")
-    return float(val)
+    return _json_float(val, f"{path}/{key}")
 
 
 def _parse_weights(doc, path):
     raw = _want(doc, "weights", path, list, "a list of positive numbers")
+    weights = []
     for i, w in enumerate(raw):
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise LatticeSchemaError(f"{path}/weights/{i}", "expected a number")
-    return _built(path, AtomicMeasure, tuple(float(w) for w in raw))
+        weights.append(_json_float(w, f"{path}/weights/{i}"))
+    return _built(path, AtomicMeasure, tuple(weights))
 
 
 def _parse_blocks(doc, path):

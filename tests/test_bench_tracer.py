@@ -25,3 +25,21 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
     assert value == ll.eval_norm(X, [1.0, -2.0, 0.5])
     assert tr.calls["core.eval_norm"] == 1
     assert tr.calls["lorentz.norm_pinfty_r_argmax"] == 1
+
+
+def test_tracer_counts_gauge_spans_without_linprog(monkeypatch):
+    """gauge and gauge_norming run the dense simplex, not scipy's linprog; the
+    tracer still finds convexgeom.linprog to wrap."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    B = ll.SolidConvexBody(((1.0, 0.5, 0.0), (0.2, 1.0, 0.7), (0.0, 0.3, 1.0)))
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        ll.gauge(B, [0.3, -0.4, 0.5])
+        ll.gauge_norming(B, [0.3, -0.4, 0.5])
+    finally:
+        tr.uninstall()
+    assert tr.calls["convexgeom.gauge"] == 1
+    assert tr.calls["convexgeom.gauge_norming"] == 1
+    assert tr.calls["convexgeom.linprog"] == 0

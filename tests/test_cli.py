@@ -229,6 +229,24 @@ def test_geom_gauge_inf(tmp_path, capsys):
     code, _, err = run_cli(["geom", "gauge", "--body", bad, "--y", "1,1"], capsys)
     assert code == 1 and "/generators/1/1" in err
 
+    # an integer too large for a float is a schema error, not a traceback
+    big = write_doc(tmp_path, "big.json", {"generators": [[1, 10 ** 400], [0.5, 1.0]]})
+    code, _, err = run_cli(["geom", "gauge", "--body", big, "--y", "1,1"], capsys)
+    assert code == 1 and "/generators/0/1" in err
+
+
+def test_huge_integers_in_operator_and_tensor_documents(tmp_path, capsys):
+    big = 10 ** 400
+    op = write_doc(tmp_path, "op.json", {**OP_DIAG, "matrix": [[2.0, 0.0], [big, 1.0]]})
+    code, _, err = run_cli(["geom", "polarity", "--op", op, "--tau", "2", "--sigma", "2"], capsys)
+    assert code == 1 and "/matrix/1/0" in err
+    for doc, path in (({**REP_SINGLE, "pairs": [{"x": [3.0, big], "y": [1.0, 1.0]}]}, "/pairs/0/x/1"),
+                      ({**REP_SINGLE, "exponents": {**REP_SINGLE["exponents"], "q": big}},
+                       "/exponents/q")):
+        rep = write_doc(tmp_path, "rep.json", doc)
+        code, _, err = run_cli(["ideal", "theta", "--rep", rep], capsys)
+        assert code == 1 and path in err
+
 
 def test_geom_polarity_command(tmp_path, capsys):
     op = write_doc(tmp_path, "op.json", OP_DIAG)

@@ -2,13 +2,14 @@
 sets, minimal factorizations, and interpolated bodies."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import latticelab as ll
-from latticelab.convexgeom import _sphere_points
+from latticelab.convexgeom import _prune_generators, _sphere_points
 
 L1 = ll.SymmetricSeqNorm(1)
 L2 = ll.SymmetricSeqNorm(2)
@@ -69,6 +70,90 @@ def test_gauge_dimension_mismatch():
         ll.gauge(B, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         ll.support_function(B, [1.0, 0.0, 0.0])
+    for y in ([1.0, 0.0, 0.0], [1.0]):
+        msg = f"vector has dim {len(y)}, body has dim 2"
+        with pytest.raises(ValueError, match=msg):
+            ll.gauge(B, y)
+        with pytest.raises(ValueError, match=msg):
+            ll.gauge_norming(B, y)
+
+
+def _enumerated_gauge(G, a):
+    """max <a, z> over the vertices of {z >= 0 : G z <= 1}, the feasible set of
+    the dual gauge LP: every d-subset of its k + d constraints is solved as
+    equalities, and the feasible solutions are kept."""
+    k, d = G.shape
+    if np.any((a > 0) & (G.max(axis=0) == 0)):
+        return math.inf
+    A = np.vstack([G, -np.eye(d)])
+    rhs = np.concatenate([np.ones(k), np.zeros(d)])
+    idx = np.array(list(combinations(range(k + d), d)))
+    M = A[idx]
+    scale = np.prod(np.linalg.norm(M, axis=2), axis=1)
+    ok = np.abs(np.linalg.det(M)) > 1e-9 * scale
+    z = np.linalg.solve(M[ok], rhs[idx[ok]][..., None])[..., 0]
+    feasible = np.all(z >= -1e-12, axis=1) & np.all(z @ G.T <= 1 + 1e-12, axis=1)
+    return max(float(np.max(z[feasible] @ a)), 0.0)
+
+
+def _gauge_corpus(count=400, seed=2024):
+    """Seeded bodies with d = 1-4 and k = 1-8 generators, with duplicate and
+    dominated generators, zero rows and columns, and y equal to a generator."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d, k = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        G = rng.random((k, d)) * rng.choice([-1.0, 1.0], size=(k, d))
+        y = rng.standard_normal(d)
+        kind = i % 6
+        if kind == 1 and k > 1:      # duplicates and a dominated row
+            G[1] = G[0]
+            G[-1] = 0.5 * G[0]
+        elif kind == 2:              # a zero column that y does not meet
+            G[:, -1] = 0.0
+            y[-1] = 0.0
+        elif kind == 3:              # y is a generator, with random signs
+            y = G[int(rng.integers(k))] * rng.choice([-1.0, 1.0], size=d)
+        elif kind == 4:              # zero rows and exact zeros in y
+            G[rng.random(k) < 0.3] = 0.0
+            y[rng.random(d) < 0.3] = 0.0
+        elif kind == 5:              # sparse generators: infinite gauges too
+            G[rng.random((k, d)) < 0.5] = 0.0
+        yield ll.SolidConvexBody(tuple(map(tuple, G))), y
+
+
+def test_gauge_matches_vertex_enumeration():
+    infinite = 0
+    for B, y in _gauge_corpus():
+        want = _enumerated_gauge(B.gen_matrix, np.abs(y))
+        got = ll.gauge(B, y)
+        if want == math.inf:
+            infinite += 1
+            assert got == math.inf
+        else:
+            assert abs(got - want) <= 1e-12 * want, (B, y, got, want)
+    assert infinite > 0
+
+
+def test_gauge_norming_certifies_value_on_corpus():
+    for B, y in _gauge_corpus():
+        g = ll.gauge(B, y)
+        if g == math.inf:
+            with pytest.raises(ValueError, match="gauge is infinite"):
+                ll.gauge_norming(B, y)
+            continue
+        b = ll.gauge_norming(B, y)
+        assert abs(float(np.dot(y, b)) - g) <= 1e-12 * g
+        assert ll.support_function(B, b) <= 1 + 1e-12
+
+
+def test_generators_of_minimal_factorization_bodies_have_gauge_at_most_one():
+    rng = np.random.default_rng(7)
+    X = lp_lattice(2, 2)
+    for i in range(12):
+        T = ll.LinOperator(rng.standard_normal((2, 2)), X, X)
+        F = ll.build_minimal_factorization(T, L2, L2, budget=60, seed=i, check_families=10)
+        body = F.Y.norm.body
+        assert max(ll.gauge(body, g) for g in body.gen_matrix) <= 1 + 1e-12
 
 
 def test_gauge_is_a_lattice_norm_on_samples():
@@ -170,6 +255,40 @@ def test_c_body_generators_within_convexity_constant():
     # K = 1 for the identity with tau = sigma = l_2
     for g in body.gen_matrix:
         assert ll.gauge(body, g) >= ll.eval_norm(E, g) - 1e-9
+
+
+def _prune_generators_loop(gens, cap=1000):
+    """The pairwise dominance loop that _prune_generators replaces."""
+    gens = np.abs(gens)
+    keep = gens[np.any(gens > 0, axis=1)]
+    if keep.size == 0:
+        return np.zeros((1, gens.shape[1]))
+    keep = np.unique(np.round(keep, 12), axis=0)
+    keep = keep[np.argsort(-keep.sum(axis=1))]
+    out = []
+    for row in keep:
+        if not any(np.all(row <= prev + 1e-12) for prev in out):
+            out.append(row)
+        if len(out) >= cap:
+            break
+    return np.array(out)
+
+
+def test_prune_generators_matches_pairwise_loop():
+    rng = np.random.default_rng(31)
+    for i in range(200):
+        k, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        gens = rng.standard_normal((k, d))
+        if i % 4 == 1:    # duplicates, and ties up to 1e-13
+            gens = np.vstack([gens, gens[: k // 2], gens[: k // 3] + 1e-13])
+        elif i % 4 == 2:  # zero rows and rows on a coarse grid (sum ties)
+            gens = np.round(gens * 2) / 2
+            gens[rng.random(k) < 0.3] = 0.0
+        elif i % 4 == 3:
+            gens = np.zeros((k, d))
+        cap = int(rng.integers(1, 8)) if i % 5 == 0 else 1000
+        got, want = _prune_generators(gens, cap), _prune_generators_loop(gens, cap)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,15 @@ def test_schema_error_paths():
             ll.lattice_from_dict(json.loads('{"dim": 2, "norm": {"kind": "gauge_of", '
                                             f'"generators": [[1, 0], [0.5, {bad}]]}}}}'))
         assert e.value.path == "/norm/generators/1/1"
+    # integers too large for a float fail at their own path
+    big = 10 ** 400
+    for doc, path in (({"kind": "lp", "p": big}, "/norm/p"),
+                      ({"kind": "lorentz_q1", "q": 2, "weights": [big, 1]}, "/norm/weights/0"),
+                      ({"kind": "gauge_of", "generators": [[1, big], [0.5, 1]]},
+                       "/norm/generators/0/1")):
+        with pytest.raises(ll.LatticeSchemaError) as e:
+            ll.lattice_from_dict({"dim": 2, "norm": doc})
+        assert e.value.path == path
     with pytest.raises(ll.LatticeSchemaError) as e:
         ll.lattice_from_dict({"dim": 2, "norm": {"kind": "predual_of",
                                                  "inner": {"kind": "predual_of",
