@@ -488,7 +488,11 @@ def _oracle_best(score, dim: int) -> float:
 def duality_gap(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
                 budget: int = 4000, seed: int = 0) -> dict:
     """Lower bounds for the (tau, sigma)-convexity constant of T and the
-    (tau*, sigma*)-concavity constant of T*; the two are equal in truth."""
+    (tau*, sigma*)-concavity constant of T*; the two are equal in truth.
+
+    ``pass`` compares the two bounds only when the grid oracle ran (diagonal T
+    of dimension <= 3); otherwise the two searches may stall at different
+    heights, so ``pass`` is None: the check was skipped, not passed."""
     if not (_is_lp_lattice(T.domain) and _is_lp_lattice(T.codomain)):
         raise ValueError("duality_gap requires l_p domain and codomain norms")
     tau_d, sigma_d = sigma_dual(tau), sigma_dual(sigma)
@@ -522,6 +526,6 @@ def duality_gap(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
         "L2_dual_concavity": L2,
         "gap": gap,
         "oracle_used": oracle_used,
-        "pass": bool(gap <= 5e-2) if oracle_used else True,
+        "pass": bool(gap <= 5e-2) if oracle_used else None,
     }
     return report

@@ -13,11 +13,13 @@ its evaluation, dual norm, norming functional, dual space and JSON form; the
 public functions below only validate the vector and dispatch to it.  Adding a
 kind means adding one such class plus one entry in the kind table ``_KINDS``.
 
-Norm evaluation is exact wherever a closed form or an LP reformulation exists
-and a certified lower bound (multistart ascent / concave programming)
-elsewhere; :func:`eval_norm_detail` and :func:`eval_dual_norm` carry the
-exact-vs-lower flag.  The Lorentz norms, the ``[1]``-dual and the q,1-dual are
-exact at every atom count, each by one scan along a sorted order.
+Norm evaluation is exact wherever a closed form or an LP reformulation exists;
+:func:`eval_norm_detail` and :func:`eval_dual_norm` carry the exact-vs-lower
+flag.  Every Lorentz kernel (the norms, the ``[r]``-duals for all r >= 1 and
+the q,1-dual) is exact at every atom count, each by one pass along a sorted
+order.  The one certified lower bound left is the dual of
+:class:`Example54Dual` (SLSQP multistart), and the ``predual_of`` norm built
+on it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Any, Optional
 
 import numpy as np
 # linprog is unused here, but perfbench/tracer.py wraps core.linprog by name
-from scipy.optimize import LinearConstraint, linprog, minimize  # noqa: F401
+from scipy.optimize import linprog, minimize  # noqa: F401
 
 from ._util import conjugate, inv, lp_norm, rng_for
 
@@ -783,57 +785,45 @@ def _density_order(a: np.ndarray, w: np.ndarray) -> tuple:
 
 
 def _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed) -> ConstantEstimate:
-    """r > 1: maximize sum |b_i| u_i^{1/r} over u = |f|^r in the [r]-ball,
-    i.e. over the polymatroid {w u : (w u)(A) <= mu(A)^{1 - r/p}}.
+    """r > 1, exact: with v_i = w_i |f_i|^r the [r]-ball is the polymatroid
+    {v >= 0 : v(A) <= g(mu(A))}, g(m) = m^{1 - r/p}, and <a, |f|> is
+    sum_i c_i^{1 - 1/r} v_i^{1/r} with c_i = (a_i/w_i)^{r/(r-1)} w_i.  Its maximizer
+    is the lexicographically optimal base of that polymatroid for the weight c
+    (Fujishige 1980, Math. Oper. Res. 5:186-196): v_i = lambda_B c_i on the
+    blocks B of the decomposition algorithm.  As for the [r]-norm, each block
+    minimizing a ratio g(mu)/c is a superlevel set of c_i/w_i, i.e. of a_i/w_i,
+    so the blocks are runs of the density order with increasing slopes
+    lambda_B = Delta g(B) / c(B): one pool-adjacent-violators pass.
 
-    SLSQP multistart keeps only the rows of the prefixes of the density order
-    |b_i|/w_i, a relaxation; each start is then rescaled by its exact [r]-norm,
-    so the result is a certified lower bound."""
-    from . import lorentz
-
-    n = a.shape[0]
-    w = spec.measure.as_array
-    p, r = spec.p, spec.r
-    support = np.where(a > 0)[0]
-    if support.size == 0:
-        return ConstantEstimate(0.0, "exact", np.zeros(n), budget, seed)
-    ws, as_ = w[support], a[support]
-    m = support.size
-    order, mass = _density_order(as_, ws)
-    rank = np.empty(m, dtype=int)
-    rank[order] = np.arange(m)
-    rows = (np.arange(m)[:, None] >= rank[None, :]) * ws
-    rhs = mass ** (1.0 - r / p)
-
-    def neg_obj(u):
-        return -float(as_ @ np.maximum(u, 0.0) ** (1.0 / r))
-
-    def neg_grad(u):
-        u = np.maximum(u, 1e-18)
-        return -(as_ / r) * u ** (1.0 / r - 1.0)
-
-    lc = LinearConstraint(rows, -np.inf, rhs)
-    t0 = float(np.min(rhs / np.maximum(rows @ np.ones(m), 1e-300)))
-    rng = rng_for(seed, "lorentz-dual", m)
-    best_f, best_val = np.zeros(n), 0.0
-    starts = [np.full(m, 0.5 * t0)]
-    for _ in range(max(3, min(8, budget // 300))):
-        g = rng.random(m) + 0.05
-        scale = np.min(rhs / np.maximum(rows @ g, 1e-300))
-        starts.append(0.9 * scale * g)
-    for u0 in starts:
-        res = minimize(neg_obj, u0, jac=neg_grad, constraints=[lc],
-                       bounds=[(0, None)] * m, method="SLSQP",
-                       options={"maxiter": 200, "ftol": 1e-12})
-        f = np.zeros(n)
-        f[support] = np.maximum(res.x, 0.0) ** (1.0 / r)
-        nv = lorentz.norm_pinfty_r(lorentz.StepFunction(tuple(f.tolist()), spec.measure), p, r)
-        if nv > 0:
-            f /= nv
-            val = float(a @ f)
-            if val > best_val:
-                best_val, best_f = val, f
-    return ConstantEstimate(best_val, "lower", sgn * best_f, budget, seed)
+    For r near 1 the c_i span far beyond the float range, so the pass works
+    with log c and log Delta g: an atom whose c underflows still owns its share
+    of Delta g.  Block sums are accumulated inside the blocks (logaddexp), since
+    differences of prefix sums would lose the small c_i."""
+    idx = np.flatnonzero(a > 0)
+    order, mass = _density_order(a[idx], spec.measure.as_array[idx])
+    idx = idx[order]
+    w, r, e = spec.measure.as_array[idx], spec.r, 1.0 - spec.r / spec.p
+    logw = np.log(w)
+    logc = (np.log(a[idx]) - logw) * (r / (r - 1.0)) + logw
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf for the first atom
+        # log(M_k^e - M_{k-1}^e) for the prefix masses M, free of cancellation
+        logdg = e * np.log(mass) + np.log(-np.expm1(e * np.log1p(-w / mass)))
+    blocks = []  # (log c(B), log Delta g(B), first atom), slopes increasing
+    for i, (bc, bg) in enumerate(zip(logc.tolist(), logdg.tolist())):
+        while blocks and blocks[-1][1] - blocks[-1][0] >= bg - bc:
+            pc, pg, i = blocks.pop()
+            bc, bg = np.logaddexp(pc, bc), np.logaddexp(pg, bg)
+        blocks.append((bc, bg, i))
+    _, lg, start = np.array(blocks, dtype=float).reshape(-1, 3).T
+    start = start.astype(int)
+    bid = np.repeat(np.arange(start.size), np.diff(start, append=logc.size))
+    # log(c_i / c(B)) taken from each block's largest c_i, so the shares sum
+    # to 1 to rounding even where |log c| is large and its ulp coarse
+    rel = logc - np.maximum.reduceat(logc, start)[bid]
+    logv = lg[bid] + rel - np.log(np.add.reduceat(np.exp(rel), start))[bid]
+    f = np.zeros(a.shape[0])
+    f[idx] = np.exp((logv - logw) / r)
+    return ConstantEstimate(float(a @ f), "exact", sgn * f, budget, seed)
 
 
 # ---------------------------------------------------------------------------

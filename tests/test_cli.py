@@ -162,9 +162,16 @@ def test_dual_norm_command(tmp_path, capsys):
     code, out, _ = run_cli(["norm", "dual", "--lattice", lat, "--b", "1,1"], capsys)
     assert code == 0
     est = json.loads(out)["estimate"]
-    assert est["side"] in ("exact", "lower")
+    assert est["side"] == "exact"
     assert est["value"] > 1.0
     assert len(est["witness"]) == 2
+    lat = write_doc(tmp_path, "wr.json", {"dim": 3, "norm": {"kind": "lorentz_pinfty", "p": 3, "r": 1.5,
+                                                            "weights": [1.0, 0.5, 2.0]}})
+    code, out, _ = run_cli(["norm", "dual", "--lattice", lat, "--b", "1,-2,0.5"], capsys)
+    assert code == 0
+    est = json.loads(out)["estimate"]
+    assert est["side"] == "exact"
+    assert sum(x * y for x, y in zip(est["witness"], (1, -2, 0.5))) == pytest.approx(est["value"], rel=1e-12)
 
 
 def test_lorentz_commands(capsys):

@@ -299,6 +299,15 @@ def test_duality_gap_diagonal_oracle():
     assert rep["pass"]
 
 
+def test_duality_gap_skips_verdict_without_oracle():
+    X = lp_lattice(2, 2)
+    T = ll.LinOperator(np.array([[2.0, 0.5], [0.0, 1.0]]), X, X)
+    rep = ll.duality_gap(T, ll.SymmetricSeqNorm(2), ll.SymmetricSeqNorm(2),
+                         budget=500, seed=0)
+    assert not rep["oracle_used"]
+    assert rep["pass"] is None
+
+
 def test_duality_gap_scaling_covariance():
     X = lp_lattice(2, 2)
     T = ll.LinOperator(np.array([[2.0, 0.5], [0.0, 1.0]]), X, lp_lattice(2, 3))

@@ -102,7 +102,85 @@ def test_lorentz_duals_match_brute_force():
         assert est.value == pytest.approx(brute, rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [21, 64])
+def _r_dual_corpus(seed, count, n_max):
+    """(n, p, r, w, b): equal and unequal weights, zeros, density ties, sign flips."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(1, n_max + 1))
+        w = rng.uniform(0.3, 3.0, n) if t % 2 else np.ones(n)
+        b = rng.standard_normal(n)
+        b[rng.random(n) < 0.2] = 0.0
+        if n > 1 and t % 3 == 0:
+            b[-1] = -b[0] * w[-1] / w[0]
+        p = float(rng.uniform(1.3, 4.0))
+        yield n, p, 1 + (p - 1) * float(rng.uniform(0.05, 0.95)), w, b
+
+
+def _r_dual_reference(a, w, p, r, masks, starts):
+    """max <a, x> over x >= 0 with sum_A w_i x_i^r <= mu(A)^(1-r/p) on every
+    subset A: SLSQP from several feasible starts, each result scaled back into
+    the ball, so every value it returns is attained."""
+    from scipy.optimize import minimize
+
+    rows, rhs = masks * w, (masks @ w) ** (1 - r / p)
+    rng = np.random.default_rng(0)
+    best = 0.0
+    for _ in range(starts):
+        g = rng.random(a.size) + 0.05
+        x0 = g * (0.9 / np.max(rows @ g ** r / rhs)) ** (1 / r)
+        res = minimize(lambda x: -float(a @ x), x0, jac=lambda x: -a, method="SLSQP",
+                       bounds=[(0, None)] * a.size,
+                       constraints=[{"type": "ineq", "fun": lambda x: rhs - rows @ np.abs(x) ** r,
+                                     "jac": lambda x: -rows * r * np.abs(x) ** (r - 1)}],
+                       options={"maxiter": 300, "ftol": 1e-15})
+        x = np.maximum(res.x, 0.0)
+        x /= max(1.0, float(np.max(rows @ x ** r / rhs))) ** (1 / r)
+        best = max(best, float(a @ x))
+    return best
+
+
+def test_lorentz_r_dual_matches_all_subset_reference():
+    from latticelab.lorentz import subset_mask_chunks
+
+    for n, p, r, w, b in _r_dual_corpus(29, 150, 8):
+        mu = ll.AtomicMeasure(tuple(w.tolist()))
+        est = ll.eval_dual_norm(ll.NormedLattice(n, ll.WeightedLorentzPInfty(p, r, mu)), b)
+        assert est.side == "exact"
+        f = np.asarray(est.witness)
+        assert float(f @ b) == pytest.approx(est.value, rel=1e-12, abs=1e-300)
+        masks = np.vstack(list(subset_mask_chunks(n)))
+        rhs = (masks @ w) ** (1 - r / p)
+        assert np.all(masks @ (w * np.abs(f) ** r) <= rhs * (1 + 1e-12))
+        if n <= 6:
+            ref = _r_dual_reference(np.abs(b), w, p, r, masks, starts=4)
+            assert ref <= est.value * (1 + 1e-9) + 1e-300
+
+
+def test_lorentz_r_dual_tends_to_one_dual():
+    # at r = 1 + 1e-9 the weights c_i = (a_i/w_i)^{r/(r-1)} w_i span far more
+    # than the float range; the [r]-dual must still approach the [1]-dual
+    for n, p, _, w, b in _r_dual_corpus(31, 60, 30):
+        mu = ll.AtomicMeasure(tuple(w.tolist()))
+        one = ll.eval_dual_norm(ll.NormedLattice(n, ll.WeightedLorentzPInfty(p, 1, mu)), b)
+        est = ll.eval_dual_norm(ll.NormedLattice(n, ll.WeightedLorentzPInfty(p, 1 + 1e-9, mu)), b)
+        assert est.side == "exact"
+        assert est.value == pytest.approx(one.value, rel=1e-8, abs=1e-300)
+
+
+def test_r_dual_exactness_reaches_wrappers():
+    mu = ll.AtomicMeasure((0.5, 2.0, 1.0))
+    rng = np.random.default_rng(3)
+    pre = ll.NormedLattice(3, ll.PredualOf(ll.WeightedLorentzPInfty(3, 1.5, mu)))
+    assert ll.eval_norm_detail(pre, rng.standard_normal(3))[1] == "exact"
+    outer = ll.WeightedLorentzPInfty(2.5, 1.5, ll.AtomicMeasure((1.0, 2.0)))
+    X = ll.NormedLattice(4, ll.BlockLorentz(outer, (ll.NormedLattice(2, ll.Lp(2)),
+                                                     ll.NormedLattice(2, ll.Lp(3)))))
+    est = ll.eval_dual_norm(X, rng.standard_normal(4))
+    assert est.side == "exact"
+    assert ll.eval_norm(X, est.witness) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("n", [21, 64, 1024])
 def test_lorentz_kernels_exact_above_twenty_atoms(n):
     rng = np.random.default_rng(n)
     mu = ll.AtomicMeasure(tuple(rng.uniform(0.3, 3.0, n).tolist()))
@@ -112,7 +190,7 @@ def test_lorentz_kernels_exact_above_twenty_atoms(n):
     assert ll.eval_norm_detail(X1, b)[1] == "exact"
     values = []
     for side, spec in (("exact", X1.norm), ("exact", ll.WeightedLorentzQ1(p, mu)),
-                       ("lower", ll.WeightedLorentzPInfty(p, 1.5, mu))):
+                       ("exact", ll.WeightedLorentzPInfty(p, 1.5, mu))):
         X = ll.NormedLattice(n, spec)
         est = ll.eval_dual_norm(X, b)
         assert est.side == side
