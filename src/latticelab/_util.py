@@ -1,8 +1,9 @@
-"""Shared plumbing: seed derivation and canonical JSON output.
+"""Shared plumbing: seed derivation, the hill climber and canonical JSON output.
 
 Everything randomized in this package flows through :func:`rng_for`, which
 hashes an explicit user seed together with string tags into an independent
-stream per task.  Reports are serialized by :func:`canonical_json` with sorted
+stream per task; every searched lower bound climbs with :func:`hill_climb`.
+Reports are serialized by :func:`canonical_json` with sorted
 keys and 17-significant-digit floats so identical runs are byte-identical.
 """
 
@@ -31,6 +32,35 @@ def derive_seed(seed: int, *tags) -> int:
 
 def rng_for(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *tags))
+
+
+def hill_climb(score, x0, rng, iters, project=None, stop=math.inf):
+    """Seeded perturbation ascent, the one search loop behind every searched
+    lower bound.  Each of at most ``iters`` proposals is
+    ``project(x + step * N(0, I))`` and replaces x only if it scores strictly
+    higher; the step starts at 0.5 and shrinks by 0.99 per proposal, never
+    below 0.02.  A ValueError from ``score`` rejects the proposal (an
+    inadmissible start scores -inf and is returned as is), and the climb ends
+    once the score exceeds ``stop``.  Returns (point, score)."""
+    try:
+        best = score(x0)
+    except ValueError:
+        return x0, -math.inf
+    x, step = x0, 0.5
+    for _ in range(iters):
+        if best > stop:
+            break
+        prop = x + step * rng.standard_normal(x.shape)
+        if project is not None:
+            prop = project(prop)
+        step = max(0.02, step * 0.99)
+        try:
+            val = score(prop)
+        except ValueError:
+            continue
+        if val > best:
+            x, best = prop, val
+    return x, best
 
 
 def conjugate(p: float) -> float:

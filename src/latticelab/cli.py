@@ -507,8 +507,9 @@ def _cmd_ideal_factorize(args, cfg):
                                   budget=cfg.budget, seed=cfg.seed)
     K_R, K_S = out["product_bound"]
     product = K_R * K_S
+    # theta is compared only at oracle scale; elsewhere the check is skipped
     product_ok = (bool(product <= out["theta"] + cfg.tol("theta-product"))
-                  if out["oracle_scale"] else True)
+                  if out["oracle_scale"] else None)
     payload = {
         "rep": rep.to_dict(),
         "dim_Z": out["Z"].dim,
@@ -523,7 +524,7 @@ def _cmd_ideal_factorize(args, cfg):
         "oracle_scale": out["oracle_scale"],
         "product_ok": product_ok,
     }
-    ok = bool(out["composition_exact"] and product_ok)
+    ok = bool(out["composition_exact"] and product_ok is not False)
     return payload, (0 if ok else 2)
 
 

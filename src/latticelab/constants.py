@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import conjugate, inv, rng_for
+from ._util import conjugate, hill_climb, inv, rng_for
 from .core import (
     AtomicMeasure,
     BlockLorentz,
@@ -199,28 +199,6 @@ def _exact_identity_estimate(T, kind, budget, seed) -> Optional[ConstantEstimate
     return ConstantEstimate(value, side, witness, budget, seed)
 
 
-def _hill_climb(score, mat0, rng, iters, mask=None):
-    """Perturbation ascent on a family matrix; scale-invariant scores only."""
-    best = mat0.copy()
-    try:
-        best_val = score(best)
-    except ValueError:
-        return mat0, -math.inf
-    step = 0.5
-    for it in range(iters):
-        prop = best + step * rng.standard_normal(best.shape)
-        if mask is not None:
-            prop = prop * mask
-        try:
-            val = score(prop)
-        except ValueError:
-            continue
-        if val > best_val:
-            best, best_val = prop, val
-        step = max(0.02, step * 0.99)
-    return best, best_val
-
-
 def _random_family_search(T, kind, budget, seed) -> tuple:
     n = T.domain.dim
     rng = rng_for(seed, "const-random", n)
@@ -243,10 +221,11 @@ def _random_family_search(T, kind, budget, seed) -> tuple:
             for i, part in enumerate(parts):
                 mask[i, part] = 1.0
             mat0 = mask * rng.standard_normal((m, n))
+            project = mask.__mul__
         else:
-            mask = None
             mat0 = rng.standard_normal((m, n))
-        mat, val = _hill_climb(score, mat0, rng, max(20, budget // (4 * n_starts)), mask)
+            project = None
+        mat, val = hill_climb(score, mat0, rng, max(20, budget // (4 * n_starts)), project)
         if val > best_val:
             best_val, best_fam = val, mat
     return best_val, best_fam
@@ -278,8 +257,7 @@ def _partition_search(T, kind, budget, seed) -> tuple:
         mask = np.zeros((m, n))
         for i, part in enumerate(parts):
             mask[i, part] = 1.0
-        mat0 = mask.copy()
-        mat, val = _hill_climb(score, mat0, rng, iters, mask)
+        mat, val = hill_climb(score, mask, rng, iters, mask.__mul__)
         if val > best_val:
             best_val, best_fam = val, mat
     return best_val, best_fam
@@ -348,21 +326,20 @@ def check_q_convexity_bound(X: NormedLattice, q: float, budget: int = 4000, seed
     bound = (p / (p - q)) ** (1.0 / q) * gamma(p)
     est = estimate_constant(identity_operator(X), Convex(q, q), budget, seed)
     renorm_max = 0.0
-    if q >= 1:
-        if isinstance(X.norm, WeightedLorentzPInfty):
-            measure = X.norm.measure
-        else:
-            measure = AtomicMeasure.counting(X.dim)
-        Xq = NormedLattice(measure.dim, WeightedLorentzPInfty(p, q, measure))
-        Tq = identity_operator(Xq)
-        rng = rng_for(seed, "renorm-check", X.dim)
-        for _ in range(100):
-            m = int(rng.integers(1, 2 * measure.dim + 1))
-            fam = rng.standard_normal((m, measure.dim))
-            try:
-                renorm_max = max(renorm_max, ratio(Tq, Convex(q, q), list(fam)))
-            except ValueError:
-                continue
+    if isinstance(X.norm, WeightedLorentzPInfty):
+        measure = X.norm.measure
+    else:
+        measure = AtomicMeasure.counting(X.dim)
+    Xq = NormedLattice(measure.dim, WeightedLorentzPInfty(p, q, measure))
+    Tq = identity_operator(Xq)
+    rng = rng_for(seed, "renorm-check", X.dim)
+    for _ in range(100):
+        m = int(rng.integers(1, 2 * measure.dim + 1))
+        fam = rng.standard_normal((m, measure.dim))
+        try:
+            renorm_max = max(renorm_max, ratio(Tq, Convex(q, q), list(fam)))
+        except ValueError:
+            continue
     report = {
         "p": p,
         "q": q,
@@ -509,7 +486,7 @@ def duality_gap(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
         for _ in range(n_starts):
             m = int(rng.integers(1, 2 * dim + 1))
             mat0 = rng.standard_normal((m, dim))
-            _, val = _hill_climb(score, mat0, rng, max(20, budget // (4 * n_starts)), None)
+            _, val = hill_climb(score, mat0, rng, max(20, budget // (4 * n_starts)))
             best = max(best, val)
         return best
 

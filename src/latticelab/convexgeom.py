@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 # linprog is unused here, but perfbench/tracer.py wraps convexgeom.linprog by name
 from scipy.optimize import linprog  # noqa: F401
 
-from ._util import conjugate, lp_norm, rng_for
+from ._util import conjugate, hill_climb, lp_norm, rng_for
 from .core import (
     GaugeOf,
     LatticeSchemaError,
@@ -351,39 +350,22 @@ def _column_options(sigma_p: float, grid: int):
     return sorted(set(opts))
 
 
-def _rho_two_part_grid(T: LinOperator, u: np.ndarray, tau, sigma) -> tuple:
-    """Exhaustive two-part decompositions on a per-coordinate split grid."""
-    n = u.shape[0]
-    opts = _column_options(sigma.p, 9)
-    combos = list(product(range(len(opts)), repeat=n))
-    if len(combos) > 120000:  # pragma: no cover - n <= 3 keeps this small
-        combos = combos[:120000]
-    A = np.array(opts)
-    idx = np.array(combos)
-    c1 = A[idx, 0]
-    c2 = A[idx, 1]
-    u1 = c1 * u
-    u2 = c2 * u
-    n1 = T.codomain.norm.eval_rows(u1 @ T.matrix.T)
-    n2 = T.codomain.norm.eval_rows(u2 @ T.matrix.T)
-    vals = lp_norm(np.stack([n1, n2]), tau.p, axis=0)
+def _signs(k: int) -> np.ndarray:
+    """The 2^k rows of +-1 signs; row b is +1 exactly at the set bits of b."""
+    return np.where((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1, 1.0, -1.0)
+
+
+def _best_decomposition(T: LinOperator, u: np.ndarray, tau, C: np.ndarray) -> tuple:
+    """Scores a (K, m, n) stack of multiplier matrices c: each is the
+    decomposition u_i = c_i o u with value tau(||T u_1||, ..., ||T u_m||), and
+    all K * m codomain norms come from one eval_rows call.  Returns the value
+    and the (m, n) parts of the first maximizer."""
+    parts = C * u
+    K, m, _ = parts.shape
+    norms = T.codomain.norm.eval_rows((parts @ T.matrix.T).reshape(K * m, -1))
+    vals = lp_norm(norms.reshape(K, m), tau.p, axis=1)
     k = int(np.argmax(vals))
-    return float(vals[k]), [u1[k], u2[k]]
-
-
-def _rho_sign_vertices(T: LinOperator, u: np.ndarray, tau, m: int) -> tuple:
-    """For sigma = l_inf the per-coordinate constraint decouples and the
-    objective is convex in each entry, so +-1 vertices are exhaustive."""
-    n = u.shape[0]
-    best, best_parts = 0.0, None
-    for bits in range(2 ** (m * n)):
-        c = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(m * n)]).reshape(m, n)
-        parts = c * u
-        norms = [eval_norm(T.codomain, T.apply(p)) for p in parts]
-        val = tau(norms)
-        if val > best:
-            best, best_parts = val, [p for p in parts]
-    return best, best_parts
+    return float(vals[k]), parts[k].copy()
 
 
 def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
@@ -406,44 +388,39 @@ def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: Symmetri
             best, best_parts = val, parts
 
     # no-split candidates (m = 1, |c| <= 1 entrywise; vertices suffice)
-    consider(tau([eval_norm(T.codomain, T.apply(u))]), [u.copy()])
-    if n <= 10:
-        for bits in range(2 ** n):
-            s = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(n)])
-            consider(tau([eval_norm(T.codomain, T.apply(s * u))]), [s * u])
+    rows = np.ones((1, n)) if n > 10 else np.vstack([np.ones(n), _signs(n)])
+    consider(*_best_decomposition(T, u, tau, rows[:, None, :]))
     if n <= 3:
-        val, parts = _rho_two_part_grid(T, u, tau, sigma)
-        consider(val, parts)
+        # exhaustive two-part decompositions on a per-coordinate split grid
+        opts = np.array(_column_options(sigma.p, 9))
+        idx = np.indices((len(opts),) * n).reshape(n, -1).T
+        consider(*_best_decomposition(T, u, tau, opts[idx].transpose(0, 2, 1)))
         if sigma.p == math.inf:
+            # the per-coordinate constraint decouples and the objective is
+            # convex in each entry, so +-1 vertices are exhaustive
             for m in (2, 3, 4):
                 if 2 ** (m * n) <= 5000:
-                    val, parts = _rho_sign_vertices(T, u, tau, m)
-                    consider(val, parts)
+                    consider(*_best_decomposition(T, u, tau, _signs(m * n).reshape(-1, m, n)))
     # random decompositions: signed multipliers with sigma-tight columns
     supp = u != 0
     n_rand = max(16, budget // 8)
     for _ in range(n_rand):
         m = int(rng.integers(1, 5))
         c = rng.standard_normal((m, n)) * supp
-        colnorm = sigma_apply(sigma, list(np.abs(c))) if m > 1 else np.abs(c[0])
+        colnorm = lp_norm(c, sigma.p, axis=0) if m > 1 else np.abs(c[0])
         scale = np.where(colnorm > 0, 1.0 / np.maximum(colnorm, 1e-300), 0.0) * supp
-        c = c * scale
-        parts = [c[i] * u for i in range(m)]
-        consider(tau([eval_norm(T.codomain, T.apply(p)) for p in parts]), parts)
+        consider(*_best_decomposition(T, u, tau, (c * scale)[None]))
     # local polish on the best decomposition found
     if best_parts is not None and len(best_parts) > 1:
-        c = np.array([np.divide(p, u, out=np.zeros_like(p), where=u != 0) for p in best_parts])
-        for _ in range(min(150, budget // 10)):
-            prop = c + 0.15 * rng.standard_normal(c.shape) * supp
-            colnorm = sigma_apply(sigma, list(np.abs(prop)))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(colnorm > 1, 1.0 / colnorm, 1.0) * supp
-            prop = prop * scale
-            parts = [prop[i] * u for i in range(prop.shape[0])]
-            val = tau([eval_norm(T.codomain, T.apply(p)) for p in parts])
-            if val > best:
-                best, best_parts, c = val, parts, prop
-    witness = [p.copy() for p in best_parts] if best > 1.0 else None
+        c0 = np.divide(best_parts, u, out=np.zeros_like(best_parts), where=supp)
+
+        def project(c):  # columns back into the sigma-ball, zero off the support
+            return c / np.maximum(lp_norm(c, sigma.p, axis=0), 1.0) * supp
+
+        c, val = hill_climb(lambda c: _best_decomposition(T, u, tau, c[None])[0],
+                            c0, rng, min(150, budget // 10), project)
+        consider(val, c * u)
+    witness = list(best_parts) if best > 1.0 else None
     return {"in_D": bool(best <= 1.0), "witness": witness, "rho_lower": float(best)}
 
 

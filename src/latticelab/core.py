@@ -779,8 +779,14 @@ def _lp_norming(p_of_ball: float, b: np.ndarray) -> np.ndarray:
 
 def _density_order(a: np.ndarray, w: np.ndarray) -> tuple:
     """Atoms in decreasing order of the density a_i/w_i (ties by index), with
-    the prefix masses of w along that order."""
-    order = np.argsort(-(a / w), kind="stable")
+    the prefix masses of w along that order.  When some a_i/w_i overflows to
+    inf, the order is that of log w_i - log a_i, which keeps such atoms apart."""
+    dens = a / w  # numpy warns of the overflow, which the log order then handles
+    if dens.size and dens.max() == math.inf:
+        with np.errstate(divide="ignore"):  # a_i = 0 sorts last
+            order = np.argsort(np.log(w) - np.log(a), kind="stable")
+    else:
+        order = np.argsort(-dens, kind="stable")
     return order, np.cumsum(w[order])
 
 

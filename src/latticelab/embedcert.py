@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import conjugate, rng_for
+from ._util import conjugate, hill_climb, rng_for
 from .core import (
     NormedLattice,
     NormSpec,
@@ -172,27 +172,19 @@ def t41_check(X: NormedLattice, p: float, C: float, a, epsilon: float = 1e-3,
     starts = [np.abs(norming_functional(X, a)), a.copy(), np.ones(n)]
     starts += [np.eye(n)[i] for i in range(n)]
     starts += list(np.abs(rng.standard_normal((max(2, budget // 500), n))))
-    best_val, best_b, best_d = 0.0, None, None
+    best_val, best_dir = 0.0, None
     iters = max(10, budget // (20 * max(1, len(masks) // 7)))
+    stop = 1 - 0.5 * epsilon  # certifies with headroom for the final shave
     for s0 in starts:
-        val, b, d = evaluate(s0)
-        cur_dir = np.maximum(s0, 0.0)
-        step = 0.4
-        for _ in range(iters):
-            if val > 1 - 0.5 * epsilon:
-                break  # already certifies with headroom for the final shave
-            prop = np.maximum(cur_dir + step * rng.standard_normal(n), 0.0)
-            v2, b2, d2 = evaluate(prop)
-            if v2 > val:
-                val, b, d, cur_dir = v2, b2, d2, prop
-            else:
-                step = max(step * 0.8, 0.02)
+        direction, val = hill_climb(lambda v: evaluate(v)[0], s0, rng, iters,
+                                    lambda v: np.maximum(v, 0.0), stop)
         if val > best_val:
-            best_val, best_b, best_d = val, b, d
-        if best_val > 1 - 0.5 * epsilon:
+            best_val, best_dir = val, direction
+        if best_val > stop:
             break
 
-    if best_b is not None and best_val > 1 - epsilon:
+    if best_dir is not None and best_val > 1 - epsilon:
+        _, best_b, best_d = evaluate(best_dir)
         # shave a hair so re-validated margins clear the tolerance strictly
         b = best_b * (1 - 1e-12)
         norms = _subset_dual_norms(X, b, masks)

@@ -338,6 +338,17 @@ def test_ideal_commands(tmp_path, capsys):
     assert rep["composition_exact"] is True and rep["product_ok"] is True
     assert rep["u_matrix"] == [[3, 4], [3, 4]]
 
+    # dim_E = 4 is outside oracle scale: the theta comparison is skipped, not passed
+    wide = {**REP_SINGLE, "pairs": [{"x": [3.0, 4.0, 0.0, 1.0], "y": [1.0, 1.0]},
+                                    {"x": [0.0, 1.0, 2.0, 0.0], "y": [0.0, 1.0]}],
+            "E": {"dim": 4, "norm": {"kind": "lp", "p": 2}}}
+    code, out, _ = run_cli(["ideal", "factorize", "--rep", write_doc(tmp_path, "wide.json", wide),
+                            "--budget", "400"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["composition_exact"] is True and rep["oracle_scale"] is False
+    assert rep["product_ok"] is None
+
     bad = dict(REP_SINGLE)
     bad["exponents"] = {"p": 2, "p2": 3, "q": 2, "q2": 1}
     bad_doc = write_doc(tmp_path, "bad_rep.json", bad)

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 import latticelab as ll
-from latticelab.convexgeom import _prune_generators, _sphere_points
+from latticelab.convexgeom import _best_decomposition, _prune_generators, _signs, _sphere_points
 
 L1 = ll.SymmetricSeqNorm(1)
 L2 = ll.SymmetricSeqNorm(2)
@@ -318,6 +318,39 @@ def test_d_search_scaling_exact():
     r1 = ll.search_D_violation(T, u, L2, L2, budget=600, seed=3)["rho_lower"]
     r2 = ll.search_D_violation(T, 3.5 * u, L2, L2, budget=600, seed=3)["rho_lower"]
     assert r2 == pytest.approx(3.5 * r1, rel=1e-9)
+
+
+def test_signs_follow_the_bit_order():
+    assert _signs(2).tolist() == [[-1, -1], [1, -1], [-1, 1], [1, 1]]
+
+
+def _decomposition_values_loop(T, u, tau, C):
+    """tau of the codomain norms, one scalar eval_norm per part."""
+    vals = []
+    for c in C:
+        parts = c * u
+        norms = [ll.eval_norm(T.codomain, T.apply(p)) for p in parts]
+        vals.append(tau(norms))
+    return np.array(vals)
+
+
+def test_best_decomposition_matches_scalar_loop():
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        n, m, d = (int(k) for k in rng.integers(1, (4, 5, 4)))
+        p = (1.5, 2.0, 3.0, math.inf)[trial % 4]
+        tau = ll.SymmetricSeqNorm((1.0, 1.5, 2.0, math.inf)[(trial // 4) % 4])
+        T = ll.LinOperator(rng.standard_normal((d, n)), lp_lattice(n, 2), lp_lattice(d, p))
+        u = rng.standard_normal(n)
+        stacks = [rng.standard_normal((int(rng.integers(1, 9)), m, n))]
+        if m * n <= 8:
+            stacks.append(_signs(m * n).reshape(-1, m, n))
+        for C in stacks:
+            want = _decomposition_values_loop(T, u, tau, C)
+            val, parts = _best_decomposition(T, u, tau, C)
+            assert abs(val - want.max()) <= 4 * np.spacing(want.max())
+            k = next(k for k in range(len(C)) if np.array_equal(parts, C[k] * u))
+            assert abs(want[k] - want.max()) <= 4 * np.spacing(want.max())
 
 
 def test_d_search_finds_violations_and_witness_is_valid():

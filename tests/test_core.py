@@ -167,6 +167,20 @@ def test_lorentz_r_dual_tends_to_one_dual():
         assert est.value == pytest.approx(one.value, rel=1e-8, abs=1e-300)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("r", [1.0, 1.5])
+def test_lorentz_dual_order_survives_overflowing_densities(r):
+    # b_i / w_i overflows to inf for both atoms; the dual must not depend on
+    # the order in which the atoms are listed
+    mu = ll.AtomicMeasure((1e-20, 1e-20))
+    X = ll.NormedLattice(2, ll.WeightedLorentzPInfty(2.0, r, mu))
+    ests = [ll.eval_dual_norm(X, np.array(b)) for b in ((1e290, 3e290), (3e290, 1e290))]
+    assert ests[0].value == pytest.approx(ests[1].value, rel=1e-14)
+    for est in ests:
+        assert est.side == "exact"
+        assert ll.eval_norm(X, est.witness) <= 1 + 1e-12
+
+
 def test_r_dual_exactness_reaches_wrappers():
     mu = ll.AtomicMeasure((0.5, 2.0, 1.0))
     rng = np.random.default_rng(3)

@@ -96,6 +96,24 @@ def test_eta_diagonal_recomposes_and_matches_theta():
     assert kr * ks <= out["theta"] + 5e-2
 
 
+def test_eta_product_check_skipped_outside_oracle_scale():
+    rep = TensorRep((((1.0, 0.0, 0.5, 0.0), (1.0, 0.0)), ((0.0, 1.0, 0.0, 0.5), (0.0, 1.0))),
+                    p=2, p2=math.inf, q=2, q2=1)
+    out = build_eta_factorization(rep, ll.Lp(2), ll.Lp(2), trunc_len=2,
+                                  budget=400, seed=0)
+    assert out["composition_exact"]
+    assert not out["oracle_scale"]
+    assert out["product_ok"] is None
+
+
+def test_theta_rejects_non_lp_spaces():
+    rep = TensorRep((((1.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (0.0, 1.0))),
+                    p=2, p2=math.inf, q=2, q2=1)
+    lorentz = ll.WeightedLorentzPInfty(3, 1, ll.AtomicMeasure.counting(2))
+    with pytest.raises(ValueError, match="l_p family"):
+        theta_lower(rep, lorentz, ll.Lp(2), budget=100, seed=0)
+
+
 def test_eta_rank_one_product():
     rep = TensorRep((((0.6, 0.8), (0.0, 2.0)),), p=2, p2=2, q=2, q2=2)
     out = build_eta_factorization(rep, ll.Lp(2), ll.Lp(2), trunc_len=2,
