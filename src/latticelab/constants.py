@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import conjugate, hill_climb, inv, rng_for
+from ._util import conjugate, hill_climb, inv, lp_norm, rng_for
 from .core import (
     AtomicMeasure,
     BlockLorentz,
@@ -25,12 +25,9 @@ from .core import (
     SymmetricSeqNorm,
     WeightedLorentzPInfty,
     as_vector,
-    eval_dual_norm,
     eval_norm,
-    sigma_apply,
     sigma_dual,
 )
-from .lorentz import StepFunction, norm_pinfty_r
 
 __all__ = [
     "Convex",
@@ -95,10 +92,14 @@ def identity_operator(X: NormedLattice) -> LinOperator:
     return LinOperator(np.eye(X.dim), X, X)
 
 
-def _family_matrix(family) -> np.ndarray:
-    mat = np.stack([as_vector(x) for x in family])
-    if mat.shape[0] == 0:
-        raise ValueError("family must be nonempty")
+def _family(T: LinOperator, family) -> np.ndarray:
+    """The family as one float (m, n) array of finite domain vectors."""
+    mat = np.asarray(family, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] != T.domain.dim:
+        raise ValueError(f"family must be a nonempty stack of {T.domain.dim}-vectors, "
+                         f"got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("family entries must be finite")
     return mat
 
 
@@ -108,47 +109,51 @@ def _check_disjoint(mat: np.ndarray):
         raise ValueError("estimate kinds require pairwise disjoint supports")
 
 
-def generalized_convexity_ratio(T: LinOperator, tau: SymmetricSeqNorm,
-                                sigma: SymmetricSeqNorm, family) -> float:
-    """||sigma(|Tx_1|,...,|Tx_m|)||_codomain / tau(||x_1||,...,||x_m||)."""
-    mat = _family_matrix(family)
-    norms = [eval_norm(T.domain, x) for x in mat]
-    den = tau(norms)
+def _convexity(T, tau, sigma, mat) -> float:
+    den = tau(T.domain.norm.eval_rows(mat))
     if den <= 0:
         raise ValueError("zero family")
-    images = [T.apply(x) for x in mat]
-    num = eval_norm(T.codomain, sigma_apply(sigma, images))
-    return num / den
+    sv = lp_norm(mat @ T.matrix.T, sigma.p, axis=0)
+    return float(T.codomain.norm.eval_rows(sv[None])[0]) / den
+
+
+def _concavity(T, tau, sigma, mat) -> float:
+    den = float(T.domain.norm.eval_rows(lp_norm(mat, sigma.p, axis=0)[None])[0])
+    if den <= 0:
+        raise ValueError("zero family")
+    return tau(T.codomain.norm.eval_rows(mat @ T.matrix.T)) / den
+
+
+def generalized_convexity_ratio(T: LinOperator, tau: SymmetricSeqNorm,
+                                sigma: SymmetricSeqNorm, family) -> float:
+    """||sigma(|Tx_1|,...,|Tx_m|)||_codomain / tau(||x_1||,...,||x_m||), with the
+    family checked once as one (m, n) array, the m member norms in one ``eval_rows``
+    call, the images in one ``mat @ T.matrix.T`` and one norm of the sigma-vector."""
+    return _convexity(T, tau, sigma, _family(T, family))
 
 
 def generalized_concavity_ratio(T: LinOperator, tau: SymmetricSeqNorm,
                                 sigma: SymmetricSeqNorm, family) -> float:
-    """tau(||Tx_1||,...,||Tx_m||) / ||sigma(|x_1|,...,|x_m|)||_domain."""
-    mat = _family_matrix(family)
-    den = eval_norm(T.domain, sigma_apply(sigma, list(mat)))
-    if den <= 0:
-        raise ValueError("zero family")
-    num = tau([eval_norm(T.codomain, T.apply(x)) for x in mat])
-    return num / den
+    """tau(||Tx_1||,...,||Tx_m||) / ||sigma(|x_1|,...,|x_m|)||_domain, with
+    the family checked once and the m image norms in one ``eval_rows`` call."""
+    return _concavity(T, tau, sigma, _family(T, family))
 
 
 def ratio(T: LinOperator, kind, family) -> float:
-    """Exact ratio for one family: a certified lower bound for the constant."""
-    if isinstance(kind, Convex):
-        return generalized_convexity_ratio(T, SymmetricSeqNorm(kind.p),
-                                           SymmetricSeqNorm(kind.p2), family)
-    if isinstance(kind, Concave):
-        return generalized_concavity_ratio(T, SymmetricSeqNorm(kind.q),
-                                           SymmetricSeqNorm(kind.q2), family)
-    if isinstance(kind, UpperEstimate):
-        _check_disjoint(_family_matrix(family))
-        return generalized_convexity_ratio(T, SymmetricSeqNorm(kind.p),
-                                           SymmetricSeqNorm(math.inf), family)
-    if isinstance(kind, LowerEstimate):
-        _check_disjoint(_family_matrix(family))
-        return generalized_concavity_ratio(T, SymmetricSeqNorm(kind.q),
-                                           SymmetricSeqNorm(1.0), family)
-    raise TypeError(f"unknown constant kind {kind!r}")
+    """Exact ratio for one family: a certified lower bound for the constant.
+    The family (and for an estimate kind, the disjointness of its supports) is
+    checked once, then scored by the stacked generalized ratio; an upper
+    (lower) estimate is its sigma = inf (sigma = 1) case."""
+    if isinstance(kind, (Convex, UpperEstimate)):
+        score, tau, sigma = _convexity, kind.p, getattr(kind, "p2", math.inf)
+    elif isinstance(kind, (Concave, LowerEstimate)):
+        score, tau, sigma = _concavity, kind.q, getattr(kind, "q2", 1.0)
+    else:
+        raise TypeError(f"unknown constant kind {kind!r}")
+    mat = _family(T, family)
+    if isinstance(kind, (UpperEstimate, LowerEstimate)):
+        _check_disjoint(mat)
+    return score(T, SymmetricSeqNorm(tau), SymmetricSeqNorm(sigma), mat)
 
 
 def set_partitions(items) -> Iterator[list]:
@@ -205,7 +210,7 @@ def _random_family_search(T, kind, budget, seed) -> tuple:
     estimate_kind = isinstance(kind, (UpperEstimate, LowerEstimate))
 
     def score(mat):
-        return ratio(T, kind, list(mat))
+        return ratio(T, kind, mat)
 
     best_val, best_fam = -math.inf, None
     n_starts = max(4, min(24, budget // 250))
@@ -238,7 +243,7 @@ def _partition_search(T, kind, budget, seed) -> tuple:
     rng = rng_for(seed, "const-partition", n)
 
     def score(mat):
-        return ratio(T, kind, list(mat))
+        return ratio(T, kind, mat)
 
     if n <= 8:
         partitions = list(set_partitions(range(n)))
@@ -337,7 +342,7 @@ def check_q_convexity_bound(X: NormedLattice, q: float, budget: int = 4000, seed
         m = int(rng.integers(1, 2 * measure.dim + 1))
         fam = rng.standard_normal((m, measure.dim))
         try:
-            renorm_max = max(renorm_max, ratio(Tq, Convex(q, q), list(fam)))
+            renorm_max = max(renorm_max, ratio(Tq, Convex(q, q), fam))
         except ValueError:
             continue
     report = {
@@ -408,12 +413,6 @@ def _is_lp_lattice(X: NormedLattice) -> bool:
     return isinstance(X.norm, Lp)
 
 
-def _concave_dual_ratio(T: LinOperator, tau_d, sigma_d, family) -> float:
-    """Concavity ratio of the adjoint, with dual l_p norms in closed form."""
-    A = T.adjoint()
-    return generalized_concavity_ratio(A, tau_d, sigma_d, family)
-
-
 def _sphere_grid(dim: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0], [-1.0]])
@@ -473,13 +472,14 @@ def duality_gap(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
     if not (_is_lp_lattice(T.domain) and _is_lp_lattice(T.codomain)):
         raise ValueError("duality_gap requires l_p domain and codomain norms")
     tau_d, sigma_d = sigma_dual(tau), sigma_dual(sigma)
+    A = T.adjoint()
     rng = rng_for(seed, "duality", T.domain.dim, T.codomain.dim)
 
     def score1(fam):
         return generalized_convexity_ratio(T, tau, sigma, fam)
 
     def score2(fam):
-        return _concave_dual_ratio(T, tau_d, sigma_d, fam)
+        return generalized_concavity_ratio(A, tau_d, sigma_d, fam)
 
     def search(score, dim):
         best, n_starts = 0.0, max(4, min(16, budget // 400))
@@ -492,7 +492,7 @@ def duality_gap(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
 
     L1 = search(score1, T.domain.dim)
     L2 = search(score2, T.codomain.dim)
-    diag = np.allclose(T.matrix, np.diag(np.diag(T.matrix))) and T.matrix.shape[0] == T.matrix.shape[1]
+    diag = T.matrix.shape[0] == T.matrix.shape[1] and np.allclose(T.matrix, np.diag(np.diag(T.matrix)))
     oracle_used = bool(diag and T.domain.dim <= 3)
     if oracle_used:
         L1 = max(L1, _oracle_best(score1, T.domain.dim))

@@ -653,7 +653,8 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
     ratio_max = 0.0
     best_excess = math.inf
     stalls = 0
-    for repair in range(40):
+    repair_exit = "budget"
+    for rounds in range(1, 41):
         sweep_max = 0.0
         for fi, fam in enumerate(fams):
             val, gen = family_fixpoint(fam)
@@ -665,17 +666,18 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
             # sweep ratios are pre-update; settle the figure on the final body
             ratio_max = max((family_ratio(fam)[0] for fam in fams), default=0.0)
             if ratio_max <= 1 + 1e-6:
+                repair_exit = "converged"
                 break
         excess = sweep_max - 1
         if excess >= best_excess * 0.98:
             stalls += 1
             if stalls >= 3:
-                ratio_max = max((family_ratio(fam)[0] for fam in fams), default=0.0)
+                repair_exit = "stalled"
                 break
         else:
             stalls = 0
             best_excess = excess
-    else:
+    if repair_exit != "converged":
         ratio_max = max((family_ratio(fam)[0] for fam in fams), default=0.0)
 
     Y = NormedLattice(X.dim, GaugeOf(body))
@@ -694,7 +696,7 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
         m = int(rng.integers(1, 4))
         fam = rng.standard_normal((m, E.dim))
         try:
-            K = max(K, generalized_convexity_ratio(T, tau, sigma, list(fam)))
+            K = max(K, generalized_convexity_ratio(T, tau, sigma, fam))
         except ValueError:
             continue
     v0_max = 0.0
@@ -709,6 +711,7 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
         "dim_Y": X.dim,
         "trivial": False,
         "K_estimate": K,
+        "repair": {"rounds": rounds, "exit": repair_exit},
         "norm_checks": {
             "U0": u0_max,
             "V0": v0_max,

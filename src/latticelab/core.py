@@ -270,6 +270,11 @@ class WeightedLorentzPInfty(NormSpec):
         f = lorentz.StepFunction(tuple(v.tolist()), self.measure)
         return lorentz.norm_pinfty_r(f, self.p, self.r), "exact"
 
+    def eval_rows(self, mat):
+        from . import lorentz
+        vals, _ = lorentz.superlevel_scan(np.abs(mat), self.measure.as_array, self.p, self.r)
+        return vals.max(axis=1)
+
     def dual_norm(self, b, budget, seed):
         a = np.abs(b)
         sgn = np.where(b < 0, -1.0, 1.0)

@@ -137,6 +137,19 @@ def _pinfty_r_params(p: float, r: float):
         raise ValueError(f"requires r < p, got r={r}, p={p}")
 
 
+def superlevel_scan(m: np.ndarray, w: np.ndarray, p: float, r: float) -> tuple:
+    """(vals, order) for moduli m (one vector, or a (k, n) stack of rows) over
+    atom weights w: ``order`` sorts each row stably by decreasing modulus, and
+    ``vals[..., j]`` is mu(A)^{1/p - 1/r} (int_A m^r dmu)^{1/r} on the atoms
+    A = ``order[..., :j + 1]``.  A row's [r]-norm is the max of its vals."""
+    order = (-m).argsort(axis=-1, kind="stable")
+    ws = w[order]
+    # tied moduli are equal, so the sorted values are m in that order
+    ms = -np.sort(-m, axis=-1)
+    vals = ws.cumsum(axis=-1) ** (1.0 / p - 1.0 / r) * (ws * ms ** r).cumsum(axis=-1) ** (1.0 / r)
+    return vals, order
+
+
 def norm_pinfty_r_argmax(f: StepFunction, p: float, r: float):
     """([r]-norm value, indicator of a maximizing atom subset).
 
@@ -146,15 +159,11 @@ def norm_pinfty_r_argmax(f: StepFunction, p: float, r: float):
     moduli may split; every prefix is still a genuine atom set."""
     _pinfty_r_params(p, r)
     m = np.abs(f.as_array)
-    w = f.measure.as_array
-    if not np.any(m > 0):
-        return 0.0, np.zeros(m.shape[0])
-    order = np.argsort(-m, kind="stable")
-    mass = np.cumsum(w[order])
-    integ = np.cumsum((w * m ** r)[order])
-    vals = mass ** (1.0 / p - 1.0 / r) * integ ** (1.0 / r)
-    k = int(np.argmax(vals))
     mask = np.zeros(m.shape[0])
+    if not (m > 0).any():
+        return 0.0, mask
+    vals, order = superlevel_scan(m, f.measure.as_array, p, r)
+    k = int(vals.argmax())
     mask[order[:k + 1]] = 1.0
     return float(vals[k]), mask
 

@@ -94,6 +94,108 @@ def test_ratio_kind_monotonicity_convex_p2():
         assert r_pp >= r_pinf - 1e-12
 
 
+def _ratio_per_row(T, kind, family):
+    """Reference ratio: one eval_norm and one T.apply per member."""
+    fam = [np.asarray(x, dtype=float) for x in family]
+    if isinstance(kind, (ll.UpperEstimate, ll.LowerEstimate)):
+        if np.any(np.stack([x != 0 for x in fam]).sum(axis=0) > 1):
+            raise ValueError("overlapping supports")
+    if isinstance(kind, (ll.Convex, ll.UpperEstimate)):
+        tau = ll.SymmetricSeqNorm(kind.p)
+        sigma = ll.SymmetricSeqNorm(kind.p2 if isinstance(kind, ll.Convex) else math.inf)
+        den = tau([ll.eval_norm(T.domain, x) for x in fam])
+        if den <= 0:
+            raise ValueError("zero family")
+        return ll.eval_norm(T.codomain, ll.sigma_apply(sigma, [T.apply(x) for x in fam])) / den
+    tau = ll.SymmetricSeqNorm(kind.q)
+    sigma = ll.SymmetricSeqNorm(kind.q2 if isinstance(kind, ll.Concave) else 1.0)
+    den = ll.eval_norm(T.domain, ll.sigma_apply(sigma, fam))
+    if den <= 0:
+        raise ValueError("zero family")
+    return tau([ll.eval_norm(T.codomain, T.apply(x)) for x in fam]) / den
+
+
+def _lorentz(n, p, r, rng):
+    w = rng.uniform(0.3, 3.0, n)
+    return ll.NormedLattice(n, ll.WeightedLorentzPInfty(p, r, ll.AtomicMeasure(tuple(w.tolist()))))
+
+
+ALL_KINDS = (ll.Convex(1.5, 2.5), ll.Concave(3.0, 1.5), ll.UpperEstimate(2.5), ll.LowerEstimate(1.5))
+
+
+def _families(kind, n, rng, count):
+    """Random families; disjointly supported for the estimate kinds."""
+    for _ in range(count):
+        m = int(rng.integers(1, n + 1))
+        fam = rng.standard_normal((m, n))
+        if isinstance(kind, (ll.UpperEstimate, ll.LowerEstimate)):
+            fam *= rng.integers(0, m, size=n) == np.arange(m)[:, None]
+        if np.any(fam != 0):
+            yield fam
+
+
+@pytest.mark.parametrize("lattice", ["lp", "lorentz r=1", "lorentz r>1"])
+def test_ratio_matches_per_row_reference_on_identity(lattice):
+    # exact on Lorentz lattices; on l_p the vectorised root of Lp.eval_rows
+    # (numpy's SIMD pow) may round the last bit unlike the scalar pow of evaluate
+    rng = np.random.default_rng(40)
+    X = {"lp": lp_lattice(4, 1.7), "lorentz r=1": _lorentz(4, 2.5, 1.0, rng),
+         "lorentz r>1": _lorentz(4, 2.5, 1.8, rng)}[lattice]
+    T = ll.identity_operator(X)
+    ulps = 4 if lattice == "lp" else 0
+    for kind in ALL_KINDS:
+        for fam in _families(kind, X.dim, rng, 40):
+            got, want = ll.ratio(T, kind, fam), _ratio_per_row(T, kind, list(fam))
+            assert abs(got - want) <= ulps * np.finfo(float).eps * want
+
+
+def test_ratio_within_4_ulp_of_per_row_reference_on_random_operators():
+    # mat @ T.matrix.T and T.matrix @ x may round the images differently
+    rng = np.random.default_rng(41)
+    spaces = [lp_lattice(3, 1.7), _lorentz(3, 2.5, 1.0, rng), _lorentz(3, 3.0, 2.0, rng)]
+    for E in spaces:
+        for F in spaces:
+            T = ll.LinOperator(rng.standard_normal((3, 3)), E, F)
+            for kind in ALL_KINDS:
+                for fam in _families(kind, 3, rng, 10):
+                    got, want = ll.ratio(T, kind, fam), _ratio_per_row(T, kind, list(fam))
+                    assert abs(got - want) <= 4 * np.finfo(float).eps * want
+
+
+def test_ratio_rejects_malformed_families_and_returns_a_float():
+    T = ll.identity_operator(lp_lattice(2, 2))
+    good = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
+    for kind in ALL_KINDS:
+        assert type(ll.ratio(T, kind, good)) is float
+        for bad in ([], np.zeros((0, 2)), [np.array([1.0, 0.0, 0.0])],
+                    [np.array([1.0, 0.0]), np.array([1.0])],
+                    [np.array([np.nan, 1.0])], [np.array([0.0, np.inf])]):
+            with pytest.raises(ValueError):
+                ll.ratio(T, kind, bad)
+    with pytest.raises(ValueError):
+        ll.generalized_convexity_ratio(T, ll.SymmetricSeqNorm(2), ll.SymmetricSeqNorm(2), [])
+    with pytest.raises(ValueError):
+        ll.generalized_concavity_ratio(T, ll.SymmetricSeqNorm(2), ll.SymmetricSeqNorm(2),
+                                       [np.array([1.0, np.inf])])
+
+
+def test_estimate_constant_unchanged_under_per_row_ratio(monkeypatch):
+    rng = np.random.default_rng(42)
+    cases = []
+    for n in range(2, 7):
+        p = float(rng.uniform(1.3, 4.0))
+        cases.append((ll.identity_operator(_lorentz(n, p, 1.0, rng)), ll.UpperEstimate(p), n))
+    cases.append((ll.identity_operator(lp_lattice(3, 2.5)), ll.Convex(1.5, 1.5), 7))
+    stacked = [ll.estimate_constant(T, kind, budget=200, seed=seed) for T, kind, seed in cases]
+    monkeypatch.setattr("latticelab.constants.ratio", _ratio_per_row)
+    for (T, kind, seed), a in zip(cases, stacked):
+        b = ll.estimate_constant(T, kind, budget=200, seed=seed)
+        assert a.value == b.value
+        assert len(a.witness) == len(b.witness)
+        for wa, wb in zip(a.witness, b.witness):
+            assert np.array_equal(wa, wb)
+
+
 # ---------------------------------------------------------------------------
 # estimate_constant
 
@@ -306,6 +408,16 @@ def test_duality_gap_skips_verdict_without_oracle():
                          budget=500, seed=0)
     assert not rep["oracle_used"]
     assert rep["pass"] is None
+
+
+def test_duality_gap_non_square_operator():
+    T = ll.LinOperator(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.5]]),
+                       lp_lattice(3, 2), lp_lattice(2, 3))
+    rep = ll.duality_gap(T, ll.SymmetricSeqNorm(2), ll.SymmetricSeqNorm(2),
+                         budget=400, seed=0)
+    assert not rep["oracle_used"]
+    assert rep["pass"] is None
+    assert rep["L1_convexity"] > 0 and rep["L2_dual_concavity"] > 0
 
 
 def test_duality_gap_scaling_covariance():

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 import latticelab as ll
+from latticelab._util import canonical_json
 from latticelab.convexgeom import _best_decomposition, _prune_generators, _signs, _sphere_points
 
 L1 = ll.SymmetricSeqNorm(1)
@@ -154,6 +155,26 @@ def test_generators_of_minimal_factorization_bodies_have_gauge_at_most_one():
         F = ll.build_minimal_factorization(T, L2, L2, budget=60, seed=i, check_families=10)
         body = F.Y.norm.body
         assert max(ll.gauge(body, g) for g in body.gen_matrix) <= 1 + 1e-12
+
+
+def test_minimal_factorization_reports_how_the_repair_loop_ended():
+    rng = np.random.default_rng(7)
+    X = lp_lattice(2, 2)
+    for i in range(4):
+        T = ll.LinOperator(rng.standard_normal((2, 2)), X, X)
+        reports = [ll.build_minimal_factorization(T, L2, L2, budget=60, seed=i,
+                                                  check_families=10).report for _ in range(2)]
+        repair = reports[0]["repair"]
+        assert set(repair) == {"rounds", "exit"}
+        assert repair["exit"] in ("converged", "stalled", "budget")
+        assert isinstance(repair["rounds"], int) and 1 <= repair["rounds"] <= 40
+        if repair["exit"] == "budget":
+            assert repair["rounds"] == 40
+        if repair["exit"] == "stalled":
+            assert repair["rounds"] >= 3
+        if repair["exit"] == "converged":
+            assert reports[0]["norm_checks"]["convexity_ratio_max"] <= 1 + 1e-6
+        assert canonical_json(reports[0]) == canonical_json(reports[1])
 
 
 def test_gauge_is_a_lattice_norm_on_samples():

@@ -157,6 +157,26 @@ def test_prefix_equals_enumeration_for_unequal_weights():
                 enumerated_norm_pinfty_r(f, p, r), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 1024])
+def test_eval_rows_equals_row_by_row_evaluate(n):
+    # one stacked superlevel-set scan gives each row's one-vector value bit for bit
+    rng = np.random.default_rng(n)
+    w = ll.AtomicMeasure(tuple(rng.uniform(0.3, 3.0, n).tolist()))
+    mat = rng.standard_normal((9, n))
+    mat[1] = 0.0                                        # all-zero row
+    mat[2] = rng.choice([-2.0, 1.0, 2.0], n)            # tied moduli
+    mat[3] = 1.5                                        # one modulus on every atom
+    mat[4, rng.random(n) < 0.5] = 0.0                   # zeros among the atoms
+    mat[5] *= 1e30
+    mat[6] *= 1e-30
+    for p, r in ((2.5, 1.0), (2.5, 1.7), (1.3, 1.05), (4.0, 3.5)):
+        spec = ll.WeightedLorentzPInfty(p, r, w)
+        rows = spec.eval_rows(mat)
+        assert rows.shape == (9,)
+        assert all(rows[i] == spec.evaluate(mat[i])[0] for i in range(9))
+        assert rows[1] == 0.0
+
+
 def test_subset_mask_chunks_cover_everything():
     seen = set()
     for chunk in subset_mask_chunks(5):
