@@ -355,30 +355,48 @@ def _signs(k: int) -> np.ndarray:
     return np.where((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1, 1.0, -1.0)
 
 
+def _decomposition_values(T: LinOperator, tau, images: np.ndarray) -> np.ndarray:
+    """tau(||T u_1||, ..., ||T u_m||) for a (K, m, d) stack of part images,
+    with all K * m codomain norms from one eval_rows call."""
+    K, m, d = images.shape
+    norms = T.codomain.norm.eval_rows(images.reshape(K * m, d))
+    return lp_norm(norms.reshape(K, m), tau.p, axis=1)
+
+
 def _best_decomposition(T: LinOperator, u: np.ndarray, tau, C: np.ndarray) -> tuple:
     """Scores a (K, m, n) stack of multiplier matrices c: each is the
-    decomposition u_i = c_i o u with value tau(||T u_1||, ..., ||T u_m||), and
-    all K * m codomain norms come from one eval_rows call.  Returns the value
-    and the (m, n) parts of the first maximizer."""
+    decomposition u_i = c_i o u.  Returns the value and the (m, n) parts of the
+    first maximizer."""
     parts = C * u
-    K, m, _ = parts.shape
-    norms = T.codomain.norm.eval_rows((parts @ T.matrix.T).reshape(K * m, -1))
-    vals = lp_norm(norms.reshape(K, m), tau.p, axis=1)
+    vals = _decomposition_values(T, tau, parts @ T.matrix.T)
     k = int(np.argmax(vals))
     return float(vals[k]), parts[k].copy()
 
 
-def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
-                       budget: int = 2000, seed: int = 0) -> dict:
-    """rho(u) = sup{tau(||T u_1||, ..., ||T u_m||) : sigma(|u_1|,...,|u_m|) <= |u|},
-    searched over multiplier decompositions u_i = c_i o u.  in_D means no
-    decomposition with value > 1 was found (one-sided)."""
-    u = as_vector(u)
-    if u.shape[0] != T.domain.dim:
-        raise ValueError("dimension mismatch")
+def _best_grid_decomposition(T: LinOperator, u: np.ndarray, tau, opts: np.ndarray) -> tuple:
+    """The two-part decompositions whose column j is one row of the (K, 2)
+    option array ``opts`` times u_j, all K^n of them, rows in np.indices order.
+    The images of the column options are formed once per coordinate and
+    summed by broadcasting; returns the value and the (2, n) parts of the
+    first maximizer."""
+    K, n = len(opts), u.shape[0]
+    images = np.zeros((1, 2, T.codomain.dim))
+    for j in range(n):
+        col = (opts * u[j])[:, :, None] * T.matrix[:, j]
+        images = (images[:, None] + col[None]).reshape(-1, 2, T.codomain.dim)
+    vals = _decomposition_values(T, tau, images)
+    k = int(np.argmax(vals))
+    pick = np.unravel_index(k, (K,) * n)
+    return float(vals[k]), opts[list(pick)].T * u
+
+
+def _d_search(T: LinOperator, u: np.ndarray, tau, sigma, budget: int, seed: int) -> tuple:
+    """(best, best_parts) of the search behind :func:`search_D_violation` on a
+    checked float vector u, the parts also when best <= 1; best_parts is None
+    when no decomposition scores above 0."""
     n = u.shape[0]
     if not np.any(u != 0):
-        return {"in_D": True, "witness": None, "rho_lower": 0.0}
+        return 0.0, None
     rng = rng_for(seed, "dsearch", n, tau.p, sigma.p)
     best, best_parts = 0.0, None
 
@@ -392,24 +410,25 @@ def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: Symmetri
     consider(*_best_decomposition(T, u, tau, rows[:, None, :]))
     if n <= 3:
         # exhaustive two-part decompositions on a per-coordinate split grid
-        opts = np.array(_column_options(sigma.p, 9))
-        idx = np.indices((len(opts),) * n).reshape(n, -1).T
-        consider(*_best_decomposition(T, u, tau, opts[idx].transpose(0, 2, 1)))
+        consider(*_best_grid_decomposition(T, u, tau, np.array(_column_options(sigma.p, 9))))
         if sigma.p == math.inf:
             # the per-coordinate constraint decouples and the objective is
             # convex in each entry, so +-1 vertices are exhaustive
             for m in (2, 3, 4):
                 if 2 ** (m * n) <= 5000:
                     consider(*_best_decomposition(T, u, tau, _signs(m * n).reshape(-1, m, n)))
-    # random decompositions: signed multipliers with sigma-tight columns
+    # random decompositions: signed multipliers with sigma-tight columns, one
+    # stacked draw and one stacked score for each part count m
     supp = u != 0
-    n_rand = max(16, budget // 8)
-    for _ in range(n_rand):
-        m = int(rng.integers(1, 5))
-        c = rng.standard_normal((m, n)) * supp
-        colnorm = lp_norm(c, sigma.p, axis=0) if m > 1 else np.abs(c[0])
+    ms = rng.integers(1, 5, size=max(16, budget // 8))
+    for m in range(1, 5):
+        count = int(np.count_nonzero(ms == m))
+        if count == 0:
+            continue
+        c = rng.standard_normal((count, m, n)) * supp
+        colnorm = lp_norm(c, sigma.p, axis=1) if m > 1 else np.abs(c[:, 0])
         scale = np.where(colnorm > 0, 1.0 / np.maximum(colnorm, 1e-300), 0.0) * supp
-        consider(*_best_decomposition(T, u, tau, (c * scale)[None]))
+        consider(*_best_decomposition(T, u, tau, c * scale[:, None, :]))
     # local polish on the best decomposition found
     if best_parts is not None and len(best_parts) > 1:
         c0 = np.divide(best_parts, u, out=np.zeros_like(best_parts), where=supp)
@@ -420,6 +439,26 @@ def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: Symmetri
         c, val = hill_climb(lambda c: _best_decomposition(T, u, tau, c[None])[0],
                             c0, rng, min(150, budget // 10), project)
         consider(val, c * u)
+    return best, best_parts
+
+
+def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
+                       budget: int = 2000, seed: int = 0) -> dict:
+    """rho(u) = sup{tau(||T u_1||, ..., ||T u_m||) : sigma(|u_1|,...,|u_m|) <= |u|},
+    searched over multiplier decompositions u_i = c_i o u.  in_D means no
+    decomposition with value > 1 was found (one-sided).
+
+    Each stage scores its candidates as one stack: the no-split sign vertices;
+    for n <= 3 the two-part split grid, whose column images are formed once per
+    coordinate and summed by broadcasting; for sigma = inf the +-1 vertices of
+    2-4 parts; max(16, budget // 8) random decompositions, drawn as one block
+    per part count m in 1..4; then a hill-climb polish of the best one.  No
+    multiplier depends on |u|, so the search is positively homogeneous: rho
+    at s u is s times rho at u, which :func:`verify_polarity` relies on."""
+    u = as_vector(u)
+    if u.shape[0] != T.domain.dim:
+        raise ValueError("dimension mismatch")
+    best, best_parts = _d_search(T, u, tau, sigma, budget, seed)
     witness = list(best_parts) if best > 1.0 else None
     return {"in_D": bool(best <= 1.0), "witness": witness, "rho_lower": float(best)}
 
@@ -462,7 +501,12 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
     pass the D-check at 1 + 1e-6; (b) sampled D-violators lie outside the
     polar up to 5e-2.  On failures the body is enriched with the family
     induced by the violating decomposition (up to 3 rounds) before a
-    counterexample is recorded."""
+    counterexample is recorded.
+
+    Direction (b) runs one D search per sampled w: rho and the D search are
+    positively homogeneous, so the violator u* = w (1 + 1e-3) / rho(w) and its
+    decomposition are that search's result rescaled.  ``d_searches`` counts
+    the D searches run."""
     A = T.adjoint()
     tau_d, sigma_d = sigma_dual(tau), sigma_dual(sigma)
     body = build_C_body(T, tau, sigma, budget=max(400, sample_count // 5), seed=seed)
@@ -470,7 +514,7 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
     rng = rng_for(seed, "polarity", T.domain.dim, T.codomain.dim)
     n_dir = max(12, min(60, sample_count // 150))
     d_budget = max(400, sample_count // 10)
-    enrich_rounds = 0
+    enrich_rounds = d_searches = 0
     a_viol, b_viol = [], []
     a_checked = b_checked = 0
 
@@ -484,6 +528,7 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
         ok = False
         for round_ in range(4):
             res = search_D_violation(A, ustar, tau_d, sigma_d, d_budget, seed)
+            d_searches += 1
             if res["rho_lower"] <= 1 + 1e-6:
                 ok = True
                 break
@@ -500,13 +545,12 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
     # direction (b): D-violators must leave the polar
     for _ in range(max(10, n_dir // 2)):
         w = rng.standard_normal(T.codomain.dim)
-        res = search_D_violation(A, w, tau_d, sigma_d, d_budget, seed)
-        if res["rho_lower"] <= 1e-9:
+        rho, parts = _d_search(A, w, tau_d, sigma_d, d_budget, seed)
+        d_searches += 1
+        if rho <= 1e-9:
             continue
-        ustar = w * (1.0 + 1e-3) / res["rho_lower"]
-        res2 = search_D_violation(A, ustar, tau_d, sigma_d, d_budget, seed)
-        if res2["witness"] is None:
-            continue
+        scale = (1.0 + 1e-3) / rho
+        ustar = w * scale
         b_checked += 1
         ok = False
         for round_ in range(4):
@@ -515,13 +559,13 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
                 break
             if round_ == 3:
                 break
-            g = _enrichment_generator(T, tau, sigma, res2["witness"])
+            g = _enrichment_generator(T, tau, sigma, list(parts * scale))
             body = _with_extra(body, [g])
             enrich_rounds += 1
         if not ok:
             b_viol.append({"u_star": ustar.tolist(),
                            "support": support_function(body, ustar),
-                           "rho_lower": res2["rho_lower"]})
+                           "rho_lower": rho * scale})
 
     return {
         "pass": not a_viol and not b_viol,
@@ -530,6 +574,7 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
         "direction_b": {"checked": b_checked, "violations": b_viol},
         "enrichment_rounds": enrich_rounds,
         "generator_count": len(body.generators),
+        "d_searches": d_searches,
     }
 
 

@@ -296,6 +296,9 @@ class WeightedLorentzPInfty(NormSpec):
         _, mask = lorentz.norm_pinfty_r_argmax(f, self.p, self.r)
         w = self.measure.as_array
         m = np.abs(a)
+        top = float(m.max())
+        if abs(math.frexp(top)[1] * self.r) > 512:  # the functional is 0-homogeneous in a
+            m = m / top
         mass = float(mask @ w)
         integ = float(np.sum(mask * w * m ** self.r))
         coef = mass ** (inv(self.p) - 1.0 / self.r) * integ ** (1.0 / self.r - 1.0)

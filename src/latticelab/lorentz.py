@@ -137,17 +137,35 @@ def _pinfty_r_params(p: float, r: float):
         raise ValueError(f"requires r < p, got r={r}, p={p}")
 
 
+def _prefix_values(ws: np.ndarray, ms: np.ndarray, p: float, r: float) -> np.ndarray:
+    if r == 1:  # x ** 1.0 == x: skip both powers
+        return ws.cumsum(axis=-1) ** (1.0 / p - 1.0) * (ws * ms).cumsum(axis=-1)
+    return ws.cumsum(axis=-1) ** (1.0 / p - 1.0 / r) * (ws * ms ** r).cumsum(axis=-1) ** (1.0 / r)
+
+
 def superlevel_scan(m: np.ndarray, w: np.ndarray, p: float, r: float) -> tuple:
     """(vals, order) for moduli m (one vector, or a (k, n) stack of rows) over
     atom weights w: ``order`` sorts each row stably by decreasing modulus, and
     ``vals[..., j]`` is mu(A)^{1/p - 1/r} (int_A m^r dmu)^{1/r} on the atoms
-    A = ``order[..., :j + 1]``.  A row's [r]-norm is the max of its vals."""
-    order = (-m).argsort(axis=-1, kind="stable")
+    A = ``order[..., :j + 1]``.  A row's [r]-norm is the max of its vals.
+
+    The vals are homogeneous in m, so a row whose top modulus to the power r
+    would leave [2^-512, 2^512] is scanned divided by that modulus and
+    multiplied back; rows in that range are scanned as they are."""
+    neg = -m
+    order = neg.argsort(axis=-1, kind="stable")
     ws = w[order]
     # tied moduli are equal, so the sorted values are m in that order
-    ms = -np.sort(-m, axis=-1)
-    vals = ws.cumsum(axis=-1) ** (1.0 / p - 1.0 / r) * (ws * ms ** r).cumsum(axis=-1) ** (1.0 / r)
-    return vals, order
+    ms = -np.sort(neg, axis=-1)
+    lo, hi = 2.0 ** (-512 / r), 2.0 ** (512 / r)
+    col = ms[:1] if ms.ndim == 1 else ms[:, 0]
+    # a few tops are cheaper to bound in Python than with two numpy reductions
+    tops = col.tolist() if len(col) <= 64 else [col.min(), col.max()]
+    if lo <= min(tops) and max(tops) <= hi:
+        return _prefix_values(ws, ms, p, r), order
+    top = ms[..., :1]
+    scale = np.where((top > 0) & ((top < lo) | (top > hi)), top, 1.0)
+    return _prefix_values(ws, ms / scale, p, r) * scale, order
 
 
 def norm_pinfty_r_argmax(f: StepFunction, p: float, r: float):

@@ -9,8 +9,16 @@ import pytest
 from scipy.optimize import linprog
 
 import latticelab as ll
-from latticelab._util import canonical_json
-from latticelab.convexgeom import _best_decomposition, _prune_generators, _signs, _sphere_points
+from latticelab._util import canonical_json, lp_norm
+from latticelab.convexgeom import (
+    _best_decomposition,
+    _best_grid_decomposition,
+    _column_options,
+    _d_search,
+    _prune_generators,
+    _signs,
+    _sphere_points,
+)
 
 L1 = ll.SymmetricSeqNorm(1)
 L2 = ll.SymmetricSeqNorm(2)
@@ -339,6 +347,21 @@ def test_d_search_scaling_exact():
     r1 = ll.search_D_violation(T, u, L2, L2, budget=600, seed=3)["rho_lower"]
     r2 = ll.search_D_violation(T, 3.5 * u, L2, L2, budget=600, seed=3)["rho_lower"]
     assert r2 == pytest.approx(3.5 * r1, rel=1e-9)
+    # verify_polarity's direction (b) rescales one search instead of running a
+    # second one at u* = u (1 + 1e-3) / rho(u): the rescaled result must be the
+    # fresh search's, for tau != sigma, sigma = inf and n = 3 too
+    rng = np.random.default_rng(29)
+    for n, tau, sigma in ((2, L2, L2), (2, ll.SymmetricSeqNorm(1.5), ll.SymmetricSeqNorm(3.0)),
+                          (2, L2, LINF), (3, ll.SymmetricSeqNorm(3.0), LINF),
+                          (3, ll.SymmetricSeqNorm(1.5), ll.SymmetricSeqNorm(2.5))):
+        A = ll.LinOperator(rng.standard_normal((n, n)), lp_lattice(n, 2), lp_lattice(n, 1.5))
+        u = rng.standard_normal(n)
+        rho, parts = _d_search(A, u, tau, sigma, 600, 3)
+        scale = (1.0 + 1e-3) / rho
+        fresh = ll.search_D_violation(A, u * scale, tau, sigma, budget=600, seed=3)
+        assert fresh["rho_lower"] == pytest.approx(rho * scale, rel=1e-9)
+        assert np.allclose(np.array(fresh["witness"]), parts * scale,
+                           rtol=1e-9, atol=1e-9 * np.abs(u * scale).max())
 
 
 def test_signs_follow_the_bit_order():
@@ -372,6 +395,53 @@ def test_best_decomposition_matches_scalar_loop():
             assert abs(val - want.max()) <= 4 * np.spacing(want.max())
             k = next(k for k in range(len(C)) if np.array_equal(parts, C[k] * u))
             assert abs(want[k] - want.max()) <= 4 * np.spacing(want.max())
+
+
+def test_grid_decomposition_matches_gathered_stack():
+    # the broadcast two-part grid against _best_decomposition on the gathered
+    # (K^n, 2, n) multiplier stack it replaced
+    rng = np.random.default_rng(41)
+    for trial in range(72):
+        n, d = 1 + trial % 3, 1 + (trial // 3) % 3
+        p = (1.5, 2.0, 3.0, math.inf)[trial % 4]
+        tau = ll.SymmetricSeqNorm((1.0, 1.5, 2.0, math.inf)[(trial // 4) % 4])
+        sigma_p = (1.5, 2.0, math.inf)[(trial // 2) % 3]
+        T = ll.LinOperator(rng.standard_normal((d, n)), lp_lattice(n, 2), lp_lattice(d, p))
+        u = rng.standard_normal(n)
+        if trial % 5 == 0:
+            u[0] = 0.0
+        opts = np.array(_column_options(sigma_p, 9))
+        idx = np.indices((len(opts),) * n).reshape(n, -1).T
+        want, _ = _best_decomposition(T, u, tau, opts[idx].transpose(0, 2, 1))
+        val, parts = _best_grid_decomposition(T, u, tau, opts)
+        assert parts.shape == (2, n)
+        assert abs(val - want) <= 4 * np.spacing(want)
+        rescored = _decomposition_values_loop(T, np.ones(n), tau, parts[None])[0]
+        assert abs(rescored - val) <= 4 * np.spacing(val)
+        ratio = np.divide(np.abs(parts), np.abs(u), out=np.zeros_like(parts), where=u != 0)
+        assert np.all(np.abs(parts[:, u == 0]) == 0)
+        assert np.all(lp_norm(ratio, sigma_p, axis=0) <= 1 + 1e-12)
+
+
+def test_random_stage_witnesses_are_admissible():
+    # n >= 4 has no split grid, so the random decompositions (one stacked draw
+    # per part count) and the polish decide
+    rng = np.random.default_rng(43)
+    for trial in range(12):
+        n, d = 4 + trial % 3, int(rng.integers(2, 5))
+        p = (1.5, 2.0, 3.0, math.inf)[trial % 4]
+        tau = ll.SymmetricSeqNorm((1.0, 1.5, 2.0, math.inf)[(trial // 3) % 4])
+        sigma = ll.SymmetricSeqNorm((1.5, 2.0, math.inf)[trial % 3])
+        T = ll.LinOperator(rng.standard_normal((d, n)), lp_lattice(n, 2), lp_lattice(d, p))
+        u = 10 * rng.standard_normal(n)
+        res = ll.search_D_violation(T, u, tau, sigma, budget=400, seed=trial)
+        assert not res["in_D"]
+        parts = np.array(res["witness"])
+        assert np.all(ll.sigma_apply(sigma, list(parts)) <= np.abs(u) * (1 + 1e-12))
+        norms = [ll.eval_norm(T.codomain, T.apply(part)) for part in parts]
+        assert tau(norms) == pytest.approx(res["rho_lower"], rel=1e-12)
+        again = ll.search_D_violation(T, u, tau, sigma, budget=400, seed=trial)
+        assert canonical_json(again) == canonical_json(res)
 
 
 def test_d_search_finds_violations_and_witness_is_valid():
@@ -408,6 +478,19 @@ def test_polarity_diag_21():
     assert rep["pass"], rep
     assert rep["direction_a"]["checked"] >= 10
     assert rep["direction_b"]["checked"] >= 10
+
+
+def test_polarity_counts_its_d_searches():
+    E = lp_lattice(2, 2)
+    T = ll.LinOperator(np.array([[1.0, 0.5], [-0.3, 2.0]]), E, E)
+    rep = ll.verify_polarity(T, L2, LINF, sample_count=1000, seed=2)
+    again = ll.verify_polarity(T, L2, LINF, sample_count=1000, seed=2)
+    assert isinstance(rep["d_searches"], int)
+    assert rep["d_searches"] == again["d_searches"]
+    assert canonical_json(rep) == canonical_json(again)
+    # one search per direction (a) round and one per direction (b) sample
+    n_a, n_b = rep["direction_a"]["checked"], 10
+    assert n_a + n_b <= rep["d_searches"] <= 4 * n_a + n_b
 
 
 def test_polarity_zero_operator_degenerate():
@@ -470,7 +553,7 @@ def test_minimal_factorization_zero_operator_is_trivial():
 
 
 def test_factorization_report_is_json_ready():
-    from latticelab._util import canonical_json
+    from latticelab._util import canonical_json, lp_norm
 
     X = lp_lattice(2, 2)
     F = ll.build_minimal_factorization(ll.identity_operator(X), L2, LINF,

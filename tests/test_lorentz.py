@@ -177,6 +177,23 @@ def test_eval_rows_equals_row_by_row_evaluate(n):
         assert rows[1] == 0.0
 
 
+def test_r_norm_is_finite_and_nonzero_far_from_one():
+    # |f|^r leaves the float range at 1e+-150 with r = 3.5; the scan rescales
+    # such rows by their top modulus, so the value is 2 * 2^(1/4) times the scale
+    X = ll.NormedLattice(3, ll.WeightedLorentzPInfty(4.0, 3.5, ll.AtomicMeasure((1.0, 2.0, 0.5))))
+    for scale in (1e150, 1e-150):
+        want = 2.378414230005442 * scale
+        rows = X.norm.eval_rows(np.array([[1.0, 2.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, 0.0]]) * scale)
+        for got in (ll.eval_norm(X, [scale, 2 * scale, 0.0]), rows[0], rows[1]):
+            assert abs(got - want) <= 1e-15 * want
+        assert rows[2] == 0.0
+        assert rows[0] == ll.eval_norm(X, [scale, 2 * scale, 0.0])
+        # the norming functional is 0-homogeneous: the same at every scale
+        a = np.array([1.0, -2.0, 3.0])
+        assert np.allclose(ll.norming_functional(X, a * scale), ll.norming_functional(X, a),
+                           rtol=1e-15, atol=0.0)
+
+
 def test_subset_mask_chunks_cover_everything():
     seen = set()
     for chunk in subset_mask_chunks(5):
