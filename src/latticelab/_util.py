@@ -18,6 +18,8 @@ DEFAULT_SEED = 0
 DEFAULT_BUDGET = 10000
 
 Infinity = math.inf
+# the smallest normal float
+_TINY = float(np.finfo(float).tiny)
 
 
 def derive_seed(seed: int, *tags) -> int:
@@ -79,6 +81,15 @@ def inv(p: float) -> float:
     return 0.0 if p == math.inf else 1.0 / p
 
 
+def _all_normal(s) -> bool:
+    """Whether every entry of s lies in the normal float range [tiny, inf)."""
+    if s.ndim == 0:
+        return _TINY <= s < math.inf
+    # a few entries are cheaper to bound in Python than with two numpy reductions
+    t = s.ravel().tolist() if s.size <= 64 else [s.min(), s.max()]
+    return not t or (_TINY <= min(t) and max(t) < math.inf)
+
+
 def lp_norm(x, p: float, axis=None):
     """(sum |x_i|^p)^(1/p) along ``axis`` (over all entries when None), with the
     max for p = inf; an empty reduction gives 0."""
@@ -89,7 +100,22 @@ def lp_norm(x, p: float, axis=None):
         return a.max(axis=axis, initial=0.0)
     if p == 1:
         return a.sum(axis=axis)
-    return (a ** p).sum(axis=axis) ** (1.0 / p)
+    s = (a ** p).sum(axis=axis)
+    out = s ** (1.0 / p)
+    if _all_normal(s):
+        return out
+    # the value is homogeneous in x: a slice whose sum of |x_i|^p left the
+    # normal float range (zero slices too) is summed again divided by its
+    # largest |x_i|
+    if out.ndim == 0:
+        top = a.max(initial=0.0)
+        return ((a / top) ** p).sum() ** (1.0 / p) * top if 0 < top < math.inf else out
+    redo = ~((_TINY <= s) & (s < math.inf))
+    rows = np.moveaxis(a, axis, -1)[redo]
+    top = rows.max(axis=-1, initial=0.0)
+    top[~((top > 0) & (top < math.inf))] = 1.0
+    out[redo] = ((rows / top[:, None]) ** p).sum(axis=-1) ** (1.0 / p) * top
+    return out
 
 
 def _format_scalar(x) -> str:

@@ -50,7 +50,10 @@ from .core import (
     eval_norm,
     lattice_from_dict,
     lattice_to_dict,
-    _json_float,
+    _built,
+    _json_floats,
+    _parse_exponent,
+    _want,
 )
 from .embedcert import (
     CoveringFamily,
@@ -198,78 +201,27 @@ def serialize_lattice(lat: NormedLattice) -> str:
 
 def _load_operator(path: str) -> LinOperator:
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise LatticeSchemaError("", "expected an object")
-    for key in ("matrix", "source", "target"):
-        if key not in doc:
-            raise LatticeSchemaError(f"/{key}", "missing required field")
-    domain = lattice_from_dict(doc["source"], "/source")
-    codomain = lattice_from_dict(doc["target"], "/target")
-    raw = doc["matrix"]
-    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
-        raise LatticeSchemaError("/matrix", "expected a list of rows")
-    for i, row in enumerate(raw):
-        for j, x in enumerate(row):
-            if isinstance(x, int):
-                _json_float(x, f"/matrix/{i}/{j}")
-    try:
-        mat = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise LatticeSchemaError("/matrix", "rows must contain numbers only") from None
+    mat = _json_floats(_want(doc, "matrix", "", list, "a list of rows"), "/matrix", 2)
+    domain = lattice_from_dict(_want(doc, "source", "", dict, "a lattice document"), "/source")
+    codomain = lattice_from_dict(_want(doc, "target", "", dict, "a lattice document"), "/target")
     try:
         return LinOperator(mat, domain, codomain)
     except ValueError as e:
         raise LatticeSchemaError("/matrix", str(e)) from None
 
 
-def _num_field(doc: dict, key: str, path: str) -> float:
-    if key not in doc:
-        raise LatticeSchemaError(f"{path}/{key}", "missing required field")
-    val = doc[key]
-    if val == "inf":
-        return math.inf
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise LatticeSchemaError(f"{path}/{key}", "expected a number or 'inf'")
-    return _json_float(val, f"{path}/{key}")
-
-
 def _load_rep(path: str):
     """Tensor representation document -> (TensorRep, E, F)."""
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise LatticeSchemaError("", "expected an object")
-    pairs_raw = doc.get("pairs")
-    if not isinstance(pairs_raw, list) or not pairs_raw:
-        raise LatticeSchemaError("/pairs", "expected a nonempty list of {x, y} objects")
-    pairs = []
-    for i, pr in enumerate(pairs_raw):
-        if not isinstance(pr, dict) or "x" not in pr or "y" not in pr:
-            raise LatticeSchemaError(f"/pairs/{i}", "expected an object with x and y")
-        for side in ("x", "y"):
-            vec = pr[side]
-            if not isinstance(vec, list) or not vec:
-                raise LatticeSchemaError(f"/pairs/{i}/{side}", "expected a nonempty vector")
-            for j, v in enumerate(vec):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise LatticeSchemaError(f"/pairs/{i}/{side}/{j}", "expected a number")
-                _json_float(v, f"/pairs/{i}/{side}/{j}")
-        pairs.append((tuple(float(v) for v in pr["x"]), tuple(float(v) for v in pr["y"])))
-    exps = doc.get("exponents")
-    if not isinstance(exps, dict):
-        raise LatticeSchemaError("/exponents", "expected an object with p, p2, q, q2")
-    p = _num_field(exps, "p", "/exponents")
-    p2 = _num_field(exps, "p2", "/exponents")
-    q = _num_field(exps, "q", "/exponents")
-    q2 = _num_field(exps, "q2", "/exponents")
-    try:
-        rep = TensorRep(tuple(pairs), p, p2, q, q2)
-    except ValueError as e:
-        raise LatticeSchemaError("/exponents", str(e)) from None
-    for key in ("E", "F"):
-        if key not in doc:
-            raise LatticeSchemaError(f"/{key}", "missing required field")
-    E = lattice_from_dict(doc["E"], "/E")
-    F = lattice_from_dict(doc["F"], "/F")
+    raw = _want(doc, "pairs", "", list, "a nonempty list of {x, y} objects")
+    pairs = tuple(tuple(_json_floats(_want(pr, side, f"/pairs/{i}", list, "a nonempty vector"),
+                                     f"/pairs/{i}/{side}", 1) for side in ("x", "y"))
+                  for i, pr in enumerate(raw))
+    exps = _want(doc, "exponents", "", dict, "an object with p, p2, q, q2")
+    p, p2, q, q2 = (_parse_exponent(exps, k, "/exponents") for k in ("p", "p2", "q", "q2"))
+    rep = _built("", TensorRep, pairs, p, p2, q, q2)
+    E = lattice_from_dict(_want(doc, "E", "", dict, "a lattice document"), "/E")
+    F = lattice_from_dict(_want(doc, "F", "", dict, "a lattice document"), "/F")
     if E.dim != rep.dim_E:
         raise LatticeSchemaError("/E/dim", f"pairs live in dimension {rep.dim_E}, E says {E.dim}")
     if F.dim != rep.dim_F:

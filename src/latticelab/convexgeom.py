@@ -32,7 +32,7 @@ from .core import (
     sigma_apply,
     sigma_dual,
     _built,
-    _json_float,
+    _json_floats,
     _want,
 )
 
@@ -52,51 +52,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SolidConvexBody:
-    """{y : |y| <= sum_k lambda_k |g_k|, lambda >= 0, sum lambda <= 1}."""
+    """{y : |y| <= sum_k lambda_k |g_k|, lambda >= 0, sum lambda <= 1}.
 
-    generators: tuple
+    The generators g_k are the rows of one read-only float array, checked
+    once here: an empty, ragged or non-finite input raises LatticeSchemaError
+    with a path relative to the body document (``generators/1/0``)."""
 
-    def __post_init__(self):
-        gens = tuple(tuple(float(v) for v in g) for g in self.generators)
-        if not gens:
-            raise LatticeSchemaError("generators", "needs at least one generator")
-        if len({len(g) for g in gens}) != 1:
-            raise LatticeSchemaError("generators", "generators must share one dimension")
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, generators):
+        try:
+            G = np.array(generators, dtype=float)
+        except (TypeError, ValueError):
+            G = None
+        if G is None or G.ndim != 2 or G.size == 0:
+            raise LatticeSchemaError("generators", "expected a nonempty list of vectors of one dimension")
+        if not np.isfinite(G).all():
+            i, j = np.argwhere(~np.isfinite(G))[0]
+            raise LatticeSchemaError(f"generators/{i}/{j}", f"entry must be finite, got {G[i, j]}")
+        G.setflags(write=False)
+        self._G = G
+
+    def __eq__(self, other):
+        if not isinstance(other, SolidConvexBody):
+            return NotImplemented
+        return np.array_equal(self._G, other._G)
+
+    def __hash__(self):
+        return hash(self.generators)
+
+    def __repr__(self):
+        return f"SolidConvexBody({self.generators!r})"
 
     @property
     def dim(self) -> int:
-        return len(self.generators[0])
+        return self._G.shape[1]
+
+    @cached_property
+    def generators(self) -> tuple:
+        return tuple(tuple(g) for g in self._G.tolist())
 
     @cached_property
     def gen_matrix(self) -> np.ndarray:
-        return np.abs(np.array(self.generators, dtype=float))
+        G = np.abs(self._G)
+        G.setflags(write=False)
+        return G
 
     def to_dict(self) -> dict:
-        return {"generators": [list(g) for g in self.generators]}
+        return {"generators": self._G.tolist()}
 
     @staticmethod
     def from_dict(doc, path: str = "") -> "SolidConvexBody":
         """Parse ``{"generators": [[...], ...]}``; every entry must be a finite
         number.  Error paths are prefixed by ``path``."""
         raw = _want(doc, "generators", path, list, "a list of vectors")
-        gens = []
-        for i, g in enumerate(raw):
-            if not isinstance(g, list) or not g:
-                raise LatticeSchemaError(f"{path}/generators/{i}", "expected a nonempty list of numbers")
-            row = []
-            for j, x in enumerate(g):
-                at = f"{path}/generators/{i}/{j}"
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise LatticeSchemaError(at, "expected a number")
-                x = _json_float(x, at)
-                if not math.isfinite(x):
-                    raise LatticeSchemaError(at, f"entry must be finite, got {x}")
-                row.append(x)
-            gens.append(tuple(row))
-        return _built(path, SolidConvexBody, tuple(gens))
+        return _built(path, SolidConvexBody, _json_floats(raw, f"{path}/generators", 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +306,7 @@ def build_C_body(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
         c = _tau_weights(tau, m, rng)
         fam = [c[i] * dirs[i] for i in range(m)]
         gens.append(sigma_apply(sigma, [T.apply(x) for x in fam]))
-    return SolidConvexBody(tuple(map(tuple, _prune_generators(np.array(gens)))))
+    return SolidConvexBody(_prune_generators(np.array(gens)))
 
 
 def _prune_generators(gens: np.ndarray, cap: int = 1000) -> np.ndarray:
@@ -322,13 +331,13 @@ def _prune_generators(gens: np.ndarray, cap: int = 1000) -> np.ndarray:
 
 def _with_extra(body: SolidConvexBody, extra) -> SolidConvexBody:
     allg = np.vstack([body.gen_matrix, np.abs(np.array(extra))])
-    return SolidConvexBody(tuple(map(tuple, _prune_generators(allg))))
+    return SolidConvexBody(_prune_generators(allg))
 
 
 def _append_raw(body: SolidConvexBody, extra) -> SolidConvexBody:
     """Append without the pruning pass; for tight repair iterations."""
     allg = np.vstack([body.gen_matrix, np.abs(np.array(extra))])
-    return SolidConvexBody(tuple(map(tuple, allg)))
+    return SolidConvexBody(allg)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +607,7 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
     families, enriching the body by their union generators when needed."""
     E, X = T.domain, T.codomain
     if not np.any(T.matrix != 0):
-        zero_body = SolidConvexBody((tuple(0.0 for _ in range(X.dim)),))
+        zero_body = SolidConvexBody(np.zeros((1, X.dim)))
         Y = NormedLattice(X.dim, GaugeOf(zero_body))
         U = LinOperator(np.zeros((X.dim, E.dim)), E, Y)
         V = LinOperator(np.eye(X.dim), Y, X)
@@ -814,7 +823,7 @@ def interpolate_theta(C0: SolidConvexBody, C1: SolidConvexBody, theta: float,
         pairs.append((w0 @ g0, w1 @ g1))
     gens = [np.abs(g) ** theta * np.abs(h) ** (1.0 - theta) for g, h in pairs]
     # keep the whole pair set: enlarging samples must only grow the body
-    body = SolidConvexBody(tuple(map(tuple, _prune_generators(np.array(gens), cap=4000))))
+    body = SolidConvexBody(_prune_generators(np.array(gens), cap=4000))
     # convexity spot check: midpoints of sampled members stay inside
     mid_max = 0.0
     gm = body.gen_matrix

@@ -265,10 +265,7 @@ class WeightedLorentzPInfty(NormSpec):
         return self.measure.dim
 
     def evaluate(self, v):
-        from . import lorentz
-
-        f = lorentz.StepFunction(tuple(v.tolist()), self.measure)
-        return lorentz.norm_pinfty_r(f, self.p, self.r), "exact"
+        return float(self.eval_rows(v[None])[0]), "exact"
 
     def eval_rows(self, mat):
         from . import lorentz
@@ -292,10 +289,12 @@ class WeightedLorentzPInfty(NormSpec):
     def norming(self, a):
         from . import lorentz
 
-        f = lorentz.StepFunction(tuple(a.tolist()), self.measure)
-        _, mask = lorentz.norm_pinfty_r_argmax(f, self.p, self.r)
         w = self.measure.as_array
         m = np.abs(a)
+        # the maximizing atom set: the superlevel prefix with the largest value
+        vals, order = lorentz.superlevel_scan(m, w, self.p, self.r)
+        mask = np.zeros(m.shape[0])
+        mask[order[:int(vals.argmax()) + 1]] = 1.0
         top = float(m.max())
         if abs(math.frexp(top)[1] * self.r) > 512:  # the functional is 0-homogeneous in a
             m = m / top
@@ -887,32 +886,39 @@ def _want(doc, key, path, types, type_name):
     return val
 
 
-def _json_float(val, path: str) -> float:
-    """float(val) for a JSON number; an integer beyond the float range is a
-    schema error at ``path``, not an OverflowError."""
-    try:
-        return float(val)
-    except OverflowError:
-        raise LatticeSchemaError(path, "number is too large for a float") from None
+def _json_floats(val, path: str, ndim: int = 0):
+    """The one reader of JSON numbers: a number (``ndim`` 0) as a float, a
+    vector (1) or a matrix (2) of numbers as a float array.  Bools and other
+    non-numbers, integers too large for a float, non-finite values (Python's
+    json reads NaN and Infinity), empty lists and ragged rows raise
+    LatticeSchemaError at the pointer of the offending entry."""
+    if ndim == 0:
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise LatticeSchemaError(path, "expected a number")
+        try:
+            x = float(val)
+        except OverflowError:
+            raise LatticeSchemaError(path, "number is too large for a float") from None
+        if not math.isfinite(x):
+            raise LatticeSchemaError(path, f"entry must be finite, got {x}")
+        return x
+    if not isinstance(val, list) or not val:
+        raise LatticeSchemaError(path, "expected a nonempty list of " + ("numbers" if ndim == 1 else "rows"))
+    items = [_json_floats(x, f"{path}/{i}", ndim - 1) for i, x in enumerate(val)]
+    if ndim == 2 and len({len(row) for row in items}) != 1:
+        raise LatticeSchemaError(path, "rows must share one length")
+    return np.array(items)
 
 
 def _parse_exponent(doc, key, path):
+    """doc[key] as an exponent: a finite number, or the string 'inf'."""
     val = _want(doc, key, path, (int, float, str), "a number or 'inf'")
-    if isinstance(val, str):
-        if val == "inf":
-            return math.inf
-        raise LatticeSchemaError(f"{path}/{key}", f"expected a number or 'inf', got {val!r}")
-    return _json_float(val, f"{path}/{key}")
+    return math.inf if val == "inf" else _json_floats(val, f"{path}/{key}")
 
 
 def _parse_weights(doc, path):
     raw = _want(doc, "weights", path, list, "a list of positive numbers")
-    weights = []
-    for i, w in enumerate(raw):
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise LatticeSchemaError(f"{path}/weights/{i}", "expected a number")
-        weights.append(_json_float(w, f"{path}/weights/{i}"))
-    return _built(path, AtomicMeasure, tuple(weights))
+    return _built(path, AtomicMeasure, _json_floats(raw, f"{path}/weights", 1))
 
 
 def _parse_blocks(doc, path):

@@ -18,6 +18,7 @@ from ._util import conjugate, hill_climb, lp_norm, rng_for
 from .core import (
     ConstantEstimate,
     GaugeOf,
+    LatticeSchemaError,
     LinOperator,
     NormedLattice,
     NormSpec,
@@ -38,7 +39,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TensorRep:
-    """u = sum_i x_i (x) y_i with the exponent record (p, p2, q, q2)."""
+    """u = sum_i x_i (x) y_i with the exponent record (p, p2, q, q2).  Errors
+    name the field of the tensor document (``pairs``, ``exponents/p2``)."""
 
     pairs: tuple
     p: float
@@ -47,20 +49,20 @@ class TensorRep:
     q2: float
 
     def __post_init__(self):
-        pairs = tuple((tuple(float(v) for v in x), tuple(float(v) for v in y))
-                      for x, y in self.pairs)
+        pairs = tuple((tuple(np.asarray(x, dtype=float).tolist()),
+                       tuple(np.asarray(y, dtype=float).tolist())) for x, y in self.pairs)
         if not pairs:
-            raise ValueError("representation needs at least one pair")
+            raise LatticeSchemaError("pairs", "representation needs at least one pair")
         if len({len(x) for x, _ in pairs}) != 1 or len({len(y) for _, y in pairs}) != 1:
-            raise ValueError("pair components must have consistent dimensions")
+            raise LatticeSchemaError("pairs", "pair components must have consistent dimensions")
         if not 1 <= self.p < math.inf:
-            raise ValueError(f"p must lie in [1, inf), got {self.p}")
+            raise LatticeSchemaError("exponents/p", f"p must lie in [1, inf), got {self.p}")
         if self.p2 not in (self.p, math.inf):
-            raise ValueError("p2 must be p or inf")
+            raise LatticeSchemaError("exponents/p2", "p2 must be p or inf")
         if not 1 <= self.q < math.inf:
-            raise ValueError(f"q must lie in [1, inf), got {self.q}")
+            raise LatticeSchemaError("exponents/q", f"q must lie in [1, inf), got {self.q}")
         if self.q2 not in (1, 1.0, self.q):
-            raise ValueError("q2 must be 1 or q")
+            raise LatticeSchemaError("exponents/q2", "q2 must be 1 or q")
         object.__setattr__(self, "pairs", pairs)
 
     @property
@@ -226,7 +228,7 @@ def _evaluation_body(rep: TensorRep, F_norm: NormSpec, trunc_len: int,
             gens.append(w)
     if not gens:
         gens = [np.zeros(rep.n)]
-    return SolidConvexBody(tuple(map(tuple, _prune_generators(np.array(gens)))))
+    return SolidConvexBody(_prune_generators(np.array(gens)))
 
 
 def _maximize_w(rep: TensorRep, F_norm: NormSpec, v: np.ndarray,
@@ -270,8 +272,7 @@ def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
     degenerate = not np.any(body.gen_matrix > 0)
     if degenerate:
         # u = 0: route through a trivial max-norm copy instead
-        Z = NormedLattice(rep.n, PredualOf(GaugeOf(type(body)(
-            (tuple(1.0 for _ in range(rep.n)),)))))
+        Z = NormedLattice(rep.n, PredualOf(GaugeOf(type(body)(np.ones((1, rep.n))))))
     else:
         Z = NormedLattice(rep.n, PredualOf(GaugeOf(body)))
     R = LinOperator(rep.x_matrix(), E, Z)
@@ -295,8 +296,7 @@ def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
                             seed + 7 * round_ + 1)
         if w_new is None or not np.any(w_new > 0):
             break
-        body = SolidConvexBody(tuple(map(tuple, np.vstack([body.gen_matrix,
-                                                           np.abs(w_new)]))))
+        body = SolidConvexBody(np.vstack([body.gen_matrix, np.abs(w_new)]))
         Z = NormedLattice(rep.n, PredualOf(GaugeOf(body)))
         R = LinOperator(rep.x_matrix(), E, Z)
         S = LinOperator(rep.y_matrix().T, Z, F)

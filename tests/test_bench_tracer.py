@@ -14,16 +14,19 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
     original = ll.eval_norm
-    X = ll.NormedLattice(3, ll.WeightedLorentzPInfty(2, 1, ll.AtomicMeasure((1.0, 2.0, 0.5))))
+    mu = ll.AtomicMeasure((1.0, 2.0, 0.5))
+    X = ll.NormedLattice(3, ll.WeightedLorentzPInfty(2, 1, mu))
     tr = tracer.Tracer()
     try:
         tr.install()
         value = ll.eval_norm(X, [1.0, -2.0, 0.5])
+        step_value = ll.norm_pinfty_r(ll.StepFunction((1.0, -2.0, 0.5), mu), 2, 1)
     finally:
         tr.uninstall()
     assert ll.eval_norm is original
-    assert value == ll.eval_norm(X, [1.0, -2.0, 0.5])
+    assert value == ll.eval_norm(X, [1.0, -2.0, 0.5]) == step_value
     assert tr.calls["core.eval_norm"] == 1
+    # eval_norm scans the row directly; the StepFunction form goes through the argmax
     assert tr.calls["lorentz.norm_pinfty_r_argmax"] == 1
 
 

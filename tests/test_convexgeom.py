@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 import latticelab as ll
 from latticelab._util import canonical_json, lp_norm
 from latticelab.convexgeom import (
+    _append_raw,
     _best_decomposition,
     _best_grid_decomposition,
     _column_options,
@@ -51,6 +52,38 @@ def _member_lp(B, y, tol=1e-10):
                   options={"primal_feasibility_tolerance": tol,
                            "dual_feasibility_tolerance": tol})
     return res.status == 0
+
+
+def test_body_round_trip_and_equivalent_constructions():
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((6, 3))
+    G[1, 2], G[2] = -0.0, 0.0
+    B = ll.SolidConvexBody(G)
+    again = ll.SolidConvexBody.from_dict(B.to_dict())
+    assert repr(again.generators) == repr(B.generators)  # -0.0 survives
+    assert again.gen_matrix.tobytes() == B.gen_matrix.tobytes()
+    assert again == B and hash(again) == hash(B)
+    with pytest.raises(ValueError):
+        B.gen_matrix[0, 0] = 1.0
+    A = np.abs(G)
+    doc_body = ll.SolidConvexBody.from_dict({"generators": A.tolist()})
+    built = (ll.SolidConvexBody(A), ll.SolidConvexBody(tuple(tuple(g) for g in A.tolist())),
+             _append_raw(ll.SolidConvexBody(A[:2]), A[2:]), B)
+    for y in rng.standard_normal((10, 3)):
+        want = ll.gauge(doc_body, y)
+        assert all(ll.gauge(b, y) == want for b in built)
+
+
+@pytest.mark.parametrize("gens, path", [
+    ((), "generators"),
+    (((1.0,), (1.0, 2.0)), "generators"),
+    (np.array([[1.0, 0.0], [0.5, np.inf]]), "generators/1/1"),
+    (((1.0, math.nan),), "generators/0/1"),
+])
+def test_body_constructor_rejects_with_a_pointer(gens, path):
+    with pytest.raises(ll.LatticeSchemaError) as e:
+        ll.SolidConvexBody(gens)
+    assert e.value.path == path
 
 
 def test_gauge_matches_bisection_membership_oracle():

@@ -19,6 +19,26 @@ def test_eval_norm_lp_examples():
     assert ll.eval_norm(ll.NormedLattice(3, ll.Lp(math.inf)), [1, -2, 0.5]) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_lp_norms_scale_past_the_float_range():
+    """|x|^p leaving the float range is summed divided by max |x_i|; values
+    whose power sums stay in range keep the bits of the unscaled sum."""
+    L2, L3 = ll.NormedLattice(2, ll.Lp(2)), ll.NormedLattice(2, ll.Lp(3))
+    for t in (1e200, 1e-200, 1e-160):
+        assert ll.eval_norm(L2, [t, t]) == pytest.approx(math.sqrt(2) * t, rel=1e-15)
+    for t in (1e120, 1e-120):
+        assert ll.eval_norm(L3, [t, -t]) == pytest.approx(2 ** (1 / 3) * t, rel=1e-15)
+    est = ll.eval_dual_norm(L2, [1e200, 1e200])
+    assert est.value == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    assert ll.norming_functional(L2, [1e200, 1e200]) == pytest.approx([2 ** -0.5] * 2, rel=1e-15)
+    rows = np.array([[3.0, 4.0], [1e200, 1e200], [0.0, 0.0], [1e-200, 0.0], [0.3, 1e-3]])
+    got = ll.Lp(2).eval_rows(rows)
+    assert got[[0, 4]].tobytes() == ((rows ** 2).sum(axis=1) ** 0.5)[[0, 4]].tobytes()
+    assert got[1:4] == pytest.approx([math.sqrt(2) * 1e200, 0.0, 1e-200], rel=1e-15)
+    v = np.array([0.3, 1e-3])
+    assert ll.eval_norm(L2, v) == float((v ** 2).sum() ** 0.5)
+
+
 def test_eval_norm_example54_dual():
     E = ll.NormedLattice(3, ll.Example54Dual(2))
     assert ll.eval_norm(E, [1, 1, 0]) == pytest.approx(2.0, abs=1e-12)

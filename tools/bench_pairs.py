@@ -14,7 +14,8 @@ traced.  Standard library only.
 The output records the machine (nproc, CPU, Python, numpy and scipy), per
 workload and side the runs, medians and quartiles of each end-to-end metric,
 the pairs in which the change had the lower ``wall_s``, and the traced
-per-layer ``calls``/``self_s``.
+per-layer ``calls``/``self_s``, and for each side ``src_lines``, the line count
+of ``src/latticelab/*.py`` (as ``wc -l`` counts it).
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ def _export(repo: Path, rev: str, dest: Path) -> str:
         tar.extractall(dest, filter="data")
     archive.unlink()
     return sha
+
+
+def _src_lines(tree: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "latticelab").glob("*.py"))
 
 
 def _bench(tree: Path, bench: dict, workload: str, seed: int, trace: int) -> dict:
@@ -108,6 +113,7 @@ def main(argv=None) -> int:
                     print(f"pair {i + 1}/{args.pairs} {w} {side}: "
                           f"wall_s {res['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
         report = {"machine": _machine(repo, bench["command"][0]), "revisions": revs,
+                  "src_lines": {side: _src_lines(tree) for side, tree in trees.items()},
                   "settings": {"pairs": args.pairs, "seconds": bench["run_seconds"],
                                "seed": args.seed},
                   "workloads": {}}
