@@ -8,6 +8,7 @@ over R^n with the coordinatewise order.
 
 __version__ = "0.1.0"
 
+from ._util import TOLERANCES  # noqa: F401
 from .core import (  # noqa: F401
     AtomicMeasure,
     BlockLorentz,

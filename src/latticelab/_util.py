@@ -1,8 +1,10 @@
-"""Shared plumbing: seed derivation, the hill climber and canonical JSON output.
+"""Shared plumbing: seed derivation, the hill climber, the check tolerances
+and canonical JSON output.
 
 Everything randomized in this package flows through :func:`rng_for`, which
 hashes an explicit user seed together with string tags into an independent
-stream per task; every searched lower bound climbs with :func:`hill_climb`.
+stream per task; every searched lower bound climbs with :func:`hill_climb`;
+every named verdict reads its tolerance from :data:`TOLERANCES`.
 Reports are serialized by :func:`canonical_json` with sorted
 keys and 17-significant-digit floats so identical runs are byte-identical.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -18,6 +21,15 @@ DEFAULT_SEED = 0
 DEFAULT_BUDGET = 10000
 
 Infinity = math.inf
+
+# The tolerance of each named check, read by the builder that decides it
+# through a ``tol`` keyword that defaults to this table.
+TOLERANCES = MappingProxyType({
+    "sandwich": 1e-9, "unit-norm": 1e-9, "vee-ratio": 1e-9, "bound-match": 1e-9,
+    "estimate-one": 1e-6, "embed-norm": 1e-9, "embed-lower": 1e-9,
+    "q-convex": 1e-6, "renormed": 1e-9, "theta-product": 5e-2,
+})
+
 # the smallest normal float
 _TINY = float(np.finfo(float).tiny)
 

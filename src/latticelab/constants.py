@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import conjugate, hill_climb, inv, lp_norm, rng_for
+from ._util import TOLERANCES, conjugate, hill_climb, inv, lp_norm, rng_for
 from .core import (
     AtomicMeasure,
     BlockLorentz,
@@ -321,10 +321,12 @@ def _infer_constant_one_p(X: NormedLattice) -> float:
     raise ValueError("no certified constant-1 upper p-estimate for this norm")
 
 
-def check_q_convexity_bound(X: NormedLattice, q: float, budget: int = 4000, seed: int = 0) -> dict:
+def check_q_convexity_bound(X: NormedLattice, q: float, budget: int = 4000, seed: int = 0,
+                            tol=TOLERANCES) -> dict:
     """K^{(q)}(X) <= (p/(p-q))^{1/q} gamma_p for lattices with upper
     p-estimate constant 1, plus the sharper constant-1 q-convexity of the
-    [q]-renormed weak-L_p."""
+    [q]-renormed weak-L_p; decided with ``tol["q-convex"]`` and
+    ``tol["renormed"]``."""
     p = _infer_constant_one_p(X)
     if not 1 <= q < p:
         raise ValueError(f"requires 1 <= q < p, got q={q}, p={p}")
@@ -350,9 +352,9 @@ def check_q_convexity_bound(X: NormedLattice, q: float, budget: int = 4000, seed
         "q": q,
         "bound": bound,
         "K_q_lower": est.value,
-        "bound_ok": bool(est.value <= bound + 1e-6),
+        "bound_ok": bool(est.value <= bound + tol["q-convex"]),
         "renormed_ratio_max": renorm_max,
-        "renormed_ok": bool(renorm_max <= 1 + 1e-9),
+        "renormed_ok": bool(renorm_max <= 1 + tol["renormed"]),
     }
     report["pass"] = bool(report["bound_ok"] and report["renormed_ok"])
     return report
@@ -364,10 +366,11 @@ def _alpha(p: float, n: int) -> np.ndarray:
     return (k + 1) ** (1.0 / ps) - k ** (1.0 / ps)
 
 
-def reproduce_lpinfty_lp(p: float, n: int) -> dict:
+def reproduce_lpinfty_lp(p: float, n: int, tol=TOLERANCES) -> dict:
     """Cyclic-shift family in the n-block truncation of weak-l_p(l_p): every
     member has norm one, yet the norm of the pointwise supremum divided by
-    n^{1/p} equals A_n = (sum_j alpha_j^p)^{1/p}, which grows without bound."""
+    n^{1/p} equals A_n = (sum_j alpha_j^p)^{1/p}, which grows without bound.
+    Decided with ``tol["unit-norm"]`` and ``tol["vee-ratio"]``."""
     if not 1 < p < math.inf:
         raise ValueError(f"requires p in (1, inf), got {p}")
     if n < 2:
@@ -396,17 +399,19 @@ def reproduce_lpinfty_lp(p: float, n: int) -> dict:
         table.append({"n": m, "A_n": am, "A_n^p/H_n": am ** p / H})
         m *= 2
     growth_ok = all(table[i]["A_n"] < table[i + 1]["A_n"] for i in range(len(table) - 1))
-    return {
+    report = {
         "p": p,
         "n": n,
         "A_n": A_n,
         "vee_ratio": vee_ratio,
-        "vee_ratio_matches": bool(abs(vee_ratio - A_n) <= 1e-9),
+        "vee_ratio_matches": bool(abs(vee_ratio - A_n) <= tol["vee-ratio"]),
         "unit_norm_check": unit_dev,
-        "unit_norms_ok": bool(unit_dev <= 1e-9),
+        "unit_norms_ok": bool(unit_dev <= tol["unit-norm"]),
         "growth_table": table,
         "growth_strictly_increasing": growth_ok,
     }
+    report["pass"] = bool(report["unit_norms_ok"] and report["vee_ratio_matches"] and growth_ok)
+    return report
 
 
 def _is_lp_lattice(X: NormedLattice) -> bool:

@@ -780,6 +780,10 @@ def _lp_norming(p_of_ball: float, b: np.ndarray) -> np.ndarray:
         x[i] = s[i] if s[i] != 0 else 1.0
         return x
     q = conjugate(p_of_ball)
+    top = float(a.max())
+    # 0-homogeneous in b: rescaled only where |b|^(q-1) would leave the float range
+    if abs(math.frexp(top)[1] * (q - 1.0)) > 512:
+        a = a / top
     y = a ** (q - 1.0)
     return s * y / float(lp_norm(y, p_of_ball))
 

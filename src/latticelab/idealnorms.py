@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import conjugate, hill_climb, lp_norm, rng_for
+from ._util import TOLERANCES, conjugate, hill_climb, lp_norm, rng_for
 from .core import (
     ConstantEstimate,
     GaugeOf,
@@ -261,9 +261,12 @@ def _maximize_w(rep: TensorRep, F_norm: NormSpec, v: np.ndarray,
 
 
 def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
-                            trunc_len: int = 2, budget: int = 2000, seed: int = 0) -> dict:
+                            trunc_len: int = 2, budget: int = 2000, seed: int = 0,
+                            tol=TOLERANCES) -> dict:
     """u = S o R through Z = (R^n, support function of the evaluation body);
-    R rows are the functionals x_i, S columns are the vectors y_i."""
+    R rows are the functionals x_i, S columns are the vectors y_i.  At oracle
+    scale ``product_ok`` compares K(R) K(S) with theta up to
+    ``tol["theta-product"]``."""
     from .constants import Concave, Convex, estimate_constant
 
     E = NormedLattice(rep.dim_E, E_norm)
@@ -331,7 +334,7 @@ def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
         "theta": theta.value,
         "oracle_scale": oracle_scale,
         # theta is compared only at oracle scale; elsewhere the check is skipped
-        "product_ok": bool(product <= theta.value + 5e-2) if oracle_scale else None,
+        "product_ok": bool(product <= theta.value + tol["theta-product"]) if oracle_scale else None,
     }
     return report
 

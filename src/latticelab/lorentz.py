@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import conjugate, rng_for
+from ._util import TOLERANCES, conjugate, rng_for
 from .core import AtomicMeasure
 
 __all__ = [
@@ -34,8 +34,9 @@ def subset_mask_chunks(n: int, chunk_bits: int = 16) -> Iterator[np.ndarray]:
     """Indicator rows of all nonempty subsets of {0..n-1}, in chunks.
 
     Exponential in n: no norm evaluation uses it.  It generates the probe
-    functions of :func:`build_weakLp_embedding` on at most six atoms and the
-    brute-force reference in the ``reproduce renorming`` report."""
+    functions of :func:`build_weakLp_embedding` on at most six atoms, the
+    subset constraints of the embedding certificates on at most twelve, and
+    the brute-force reference in the ``reproduce renorming`` report."""
     if n < 1:
         raise ValueError("need at least one atom")
     if n > 63:
@@ -204,7 +205,8 @@ def norm_q1(f: StepFunction, q: float) -> float:
     return float(q * np.sum(v * (T[1:] ** (1.0 / q) - T[:-1] ** (1.0 / q))))
 
 
-def check_renorming_sandwich(f: StepFunction, p: float, r: float, tol: float = 1e-9) -> dict:
+def check_renorming_sandwich(f: StepFunction, p: float, r: float,
+                             tol: float = TOLERANCES["sandwich"]) -> dict:
     """quasinorm <= [r]-norm <= (p/(p-r))^{1/r} * quasinorm, plus monotonicity
     of the [r]-norm along a grid of r values."""
     _pinfty_r_params(p, r)
@@ -241,10 +243,11 @@ def lemma_a2_d(beta, b, s: float) -> np.ndarray:
 
 
 def build_weakLp_embedding(a: StepFunction, p: float, r: float,
-                           samples: int = 500, seed: int = 0) -> dict:
+                           samples: int = 500, seed: int = 0, tol=TOLERANCES) -> dict:
     """Multiplier operator S from the [r]-renormed weak-L_p over mu into the
     [1]-normed weak-L_p over a probability measure nu, with ||S|| <= 1
-    (verified by sampling) and ||S a|| >= C^r for
+    (verified by sampling, up to ``tol["embed-norm"]``) and ||S a|| >= C^r
+    (up to ``tol["embed-lower"]``) for
     C = (sum mu(U_i))^{1/p-1/r} ||a||_{L_r(mu)}.
 
     Requires strictly positive values and C <= 1.
@@ -309,10 +312,10 @@ def build_weakLp_embedding(a: StepFunction, p: float, r: float,
     verification = {
         "samples": len(probes),
         "max_violation": max_violation,
-        "norm_bound_ok": bool(max_violation <= 1e-9),
+        "norm_bound_ok": bool(max_violation <= tol["embed-norm"]),
         "Sa_norm": Sa_norm,
         "C_to_r": C_r,
-        "Sa_ok": bool(Sa_norm >= C_r - 1e-9),
+        "Sa_ok": bool(Sa_norm >= C_r - tol["embed-lower"]),
     }
     verification["pass"] = bool(verification["norm_bound_ok"] and verification["Sa_ok"])
     return {

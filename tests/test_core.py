@@ -39,6 +39,20 @@ def test_lp_norms_scale_past_the_float_range():
     assert ll.eval_norm(L2, v) == float((v ** 2).sum() ** 0.5)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # from the value, not the witness
+@pytest.mark.parametrize("p", [1.2, 1.5])
+@pytest.mark.parametrize("b", [(1e200, 1e200), (1e-200, 1e-200), (-3e200, 1e199),
+                               (2e-200, -7e-201)])
+def test_lp_dual_witness_is_finite_past_the_float_range(p, b):
+    """|b|^(q-1) leaves the float range for p < 2 at these scales; the witness
+    is 0-homogeneous in b, so it is computed from b / max |b_i|."""
+    est = ll.eval_dual_norm(ll.NormedLattice(2, ll.Lp(p)), list(b))
+    x = np.asarray(est.witness, dtype=float)
+    assert np.all(np.isfinite(x))
+    assert float(np.sum(np.abs(x) ** p) ** (1 / p)) == pytest.approx(1.0, abs=1e-15)
+    assert float(x @ np.array(b)) == pytest.approx(est.value, rel=1e-13)
+
+
 def test_eval_norm_example54_dual():
     E = ll.NormedLattice(3, ll.Example54Dual(2))
     assert ll.eval_norm(E, [1, 1, 0]) == pytest.approx(2.0, abs=1e-12)
