@@ -298,10 +298,14 @@ _KIND_NAMES = ("convex", "concave", "upper", "lower")
 def _cmd_constants_estimate(args, cfg):
     X = load_lattice(args.lattice)
     p, q = args.p, args.q
-    if args.kind == "convex":
-        kind = Convex(p, p if q is None else q)
-    elif args.kind == "concave":
-        kind = Concave(p, p if q is None else q)
+    if args.kind in ("convex", "concave"):
+        q2 = p if q is None else q
+        convex = args.kind == "convex"
+        # Convex and Concave name their fields in errors; state the condition in flags
+        (lo, hi), need = ((p, q2), "--p <= --q") if convex else ((q2, p), "--q <= --p")
+        if not 1 <= lo <= hi:
+            raise _UsageError(f"--kind {args.kind} needs 1 <= {need}, got --p={p:g}, --q={q2:g}")
+        kind = (Convex if convex else Concave)(p, q2)
     elif args.kind == "upper":
         kind = UpperEstimate(p)
     else:

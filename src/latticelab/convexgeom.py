@@ -591,13 +591,6 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
 # minimal factorization
 
 
-def _scaled_union_generator(gens: np.ndarray, picks, c, tau, sigma) -> np.ndarray:
-    """sigma-combination of scaled generators: the exact sigma-vector of the
-    union of the underlying scaled families; tau-admissible when tau(c) <= 1."""
-    rows = [c[i] * gens[picks[i]] for i in range(len(picks))]
-    return sigma_apply(sigma, rows)
-
-
 def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
                                 budget: int = 2000, seed: int = 0,
                                 check_families: int = 200) -> FactorizationTriple:
@@ -639,7 +632,7 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
             m = int(rng.integers(2, 5))
             picks = rng.integers(0, len(gens), size=m)
             c = _tau_weights(tau, m, rng)
-            extra.append(_scaled_union_generator(gens, picks, c, tau, sigma))
+            extra.append(sigma_apply(sigma, c[:, None] * gens[picks]))
         body = _with_extra(body, extra)
 
     # convexity certificate: a fixed sample of families (general and

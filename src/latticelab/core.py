@@ -15,11 +15,12 @@ kind means adding one such class plus one entry in the kind table ``_KINDS``.
 
 Norm evaluation is exact wherever a closed form or an LP reformulation exists;
 :func:`eval_norm_detail` and :func:`eval_dual_norm` carry the exact-vs-lower
-flag.  Every Lorentz kernel (the norms, the ``[r]``-duals for all r >= 1 and
-the q,1-dual) is exact at every atom count, each by one pass along a sorted
-order.  The one certified lower bound left is the dual of
-:class:`Example54Dual` (SLSQP multistart), and the ``predual_of`` norm built
-on it.
+flag.  The two Lorentz specs hold every Lorentz kernel: the norms with their
+maximizing sets and marginals, the ``[r]``-duals for all r >= 1 and the
+q,1-dual, each exact at every atom count by one pass along a sorted order.
+The step-function API of :mod:`latticelab.lorentz` calls them.  The one
+certified lower bound left is the dual of :class:`Example54Dual` (SLSQP
+multistart), and the ``predual_of`` norm built on it.
 """
 
 from __future__ import annotations
@@ -268,9 +269,52 @@ class WeightedLorentzPInfty(NormSpec):
         return float(self.eval_rows(v[None])[0]), "exact"
 
     def eval_rows(self, mat):
-        from . import lorentz
-        vals, _ = lorentz.superlevel_scan(np.abs(mat), self.measure.as_array, self.p, self.r)
-        return vals.max(axis=1)
+        return self._scan(np.abs(mat))[0].max(axis=1)
+
+    def _scan(self, m: np.ndarray) -> tuple:
+        """(vals, order) for moduli m (one vector, or a (k, n) stack of rows):
+        ``order`` sorts each row stably by decreasing modulus, and
+        ``vals[..., j]`` is mu(A)^{1/p - 1/r} (int_A m^r dmu)^{1/r} on the atoms
+        A = ``order[..., :j + 1]``.  A row's [r]-norm is the max of its vals.
+
+        The vals are homogeneous in m, so a row whose top modulus to the power r
+        would leave [2^-512, 2^512] is scanned divided by that modulus and
+        multiplied back; rows in that range are scanned as they are."""
+        neg = -m
+        order = neg.argsort(axis=-1, kind="stable")
+        ws = self.measure.as_array[order]
+        # tied moduli are equal, so the sorted values are m in that order
+        ms = -np.sort(neg, axis=-1)
+        p, r, scale = self.p, self.r, None
+        lo, hi = 2.0 ** (-512 / r), 2.0 ** (512 / r)
+        col = ms[:1] if ms.ndim == 1 else ms[:, 0]
+        # a few tops are cheaper to bound in Python than with two numpy reductions
+        tops = col.tolist() if len(col) <= 64 else [col.min(), col.max()]
+        if not (lo <= min(tops) and max(tops) <= hi):
+            top = ms[..., :1]
+            scale = np.where((top > 0) & ((top < lo) | (top > hi)), top, 1.0)
+            ms = ms / scale
+        if r == 1:  # x ** 1.0 == x: skip both powers
+            vals = ws.cumsum(axis=-1) ** (1.0 / p - 1.0) * (ws * ms).cumsum(axis=-1)
+        else:
+            mass = ws.cumsum(axis=-1) ** (1.0 / p - 1.0 / r)
+            vals = mass * (ws * ms ** r).cumsum(axis=-1) ** (1.0 / r)
+        return (vals if scale is None else vals * scale), order
+
+    def _norm_argmax(self, m: np.ndarray) -> tuple:
+        """([r]-norm of moduli m, indicator of a maximizing atom set).
+
+        The sup over atom sets is attained at a superlevel set of m for any
+        weights (a ratio of a modular function to a concave power of another),
+        so one scan over the prefixes of the decreasing order of m is exact.
+        Tied moduli may split; every prefix is still a genuine atom set."""
+        mask = np.zeros(m.shape[0])
+        if not (m > 0).any():
+            return 0.0, mask
+        vals, order = self._scan(m)
+        k = int(vals.argmax())
+        mask[order[:k + 1]] = 1.0
+        return float(vals[k]), mask
 
     def dual_norm(self, b, budget, seed):
         a = np.abs(b)
@@ -287,14 +331,9 @@ class WeightedLorentzPInfty(NormSpec):
         return ConstantEstimate(float(a @ u), "exact", sgn * u, budget, seed)
 
     def norming(self, a):
-        from . import lorentz
-
         w = self.measure.as_array
         m = np.abs(a)
-        # the maximizing atom set: the superlevel prefix with the largest value
-        vals, order = lorentz.superlevel_scan(m, w, self.p, self.r)
-        mask = np.zeros(m.shape[0])
-        mask[order[:int(vals.argmax()) + 1]] = 1.0
+        mask = self._norm_argmax(m)[1]
         top = float(m.max())
         if abs(math.frexp(top)[1] * self.r) > 512:  # the functional is 0-homogeneous in a
             m = m / top
@@ -331,10 +370,23 @@ class WeightedLorentzQ1(NormSpec):
         return self.measure.dim
 
     def evaluate(self, v):
-        from . import lorentz
+        return float(self.eval_rows(v[None])[0]), "exact"
 
-        f = lorentz.StepFunction(tuple(v.tolist()), self.measure)
-        return lorentz.norm_q1(f, self.q), "exact"
+    def eval_rows(self, mat):
+        """q * sum_k m_k (T_k^{1/q} - T_{k-1}^{1/q}) along each row's decreasing
+        order of moduli m; tied moduli are summed one atom at a time."""
+        m = np.abs(mat)
+        order, steps = self._steps(m)
+        return self.q * np.sum(np.take_along_axis(m, order, axis=-1) * steps, axis=-1)
+
+    def _steps(self, m: np.ndarray) -> tuple:
+        """(order, steps) for moduli m (one vector, or a (k, n) stack of rows):
+        ``order`` sorts each row stably by decreasing modulus, and
+        ``steps[..., k]`` is T_k^{1/q} - T_{k-1}^{1/q} for the prefix masses T
+        along it (T_{-1} = 0).  Times q, these are the marginals of the norm."""
+        order = np.argsort(-m, axis=-1, kind="stable")
+        roots = np.cumsum(self.measure.as_array[order], axis=-1) ** (1.0 / self.q)
+        return order, np.diff(roots, axis=-1, prepend=0.0)
 
     def dual_norm(self, b, budget, seed):
         """The positive face of the q,1-ball is the convex hull of the normalized
@@ -354,13 +406,9 @@ class WeightedLorentzQ1(NormSpec):
         return ConstantEstimate(float(vals[k]), "exact", x, budget, seed)
 
     def norming(self, a):
-        w = self.measure.as_array
-        m = np.abs(a)
-        order = np.argsort(-m, kind="stable")
-        cum = np.concatenate([[0.0], np.cumsum(w[order])])
-        marg = self.q * (cum[1:] ** (1.0 / self.q) - cum[:-1] ** (1.0 / self.q))
+        order, steps = self._steps(np.abs(a))
         b = np.zeros_like(a)
-        b[order] = marg
+        b[order] = self.q * steps
         return b * np.sign(a)
 
     def to_dict(self):
@@ -486,7 +534,9 @@ class Example54Dual(NormSpec):
         object.__setattr__(self, "p", p)
 
     def evaluate(self, v):
-        return _example54_value(self.p, v), "exact"
+        ps = conjugate(self.p)
+        roots = [t ** (1.0 / ps) for t in _example54_terms(ps, np.abs(v))]
+        return float(max(0.0, *roots)), "exact"
 
     def dual_norm(self, b, budget, seed):
         """sup{<x,b> : ||x||_{three-term max} <= 1} via SLSQP on the positive
@@ -496,11 +546,7 @@ class Example54Dual(NormSpec):
         sgn = np.where(np.sign(b) == 0, 1.0, np.sign(b))
 
         def cons_val(x):
-            x = np.abs(x)
-            out = []
-            for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-                out.append(1.0 - (x[i] ** ps + (x[j] + x[k]) ** ps))
-            return np.array(out)
+            return 1.0 - np.array(_example54_terms(ps, np.abs(x)))
 
         best_x, best_val = np.zeros(3), 0.0
         rng = rng_for(seed, "ex54-dual")
@@ -513,7 +559,7 @@ class Example54Dual(NormSpec):
                            bounds=[(0, None)] * 3, method="SLSQP",
                            options={"maxiter": 200, "ftol": 1e-14})
             x = np.maximum(res.x, 0.0)
-            nv = _example54_value(self.p, x)
+            nv = self.evaluate(x)[0]
             if nv > 0:
                 x = x / max(nv, 1.0)
             val = float(a @ x)
@@ -524,12 +570,9 @@ class Example54Dual(NormSpec):
     def norming(self, a):
         ps = conjugate(self.p)
         m = np.abs(a)
-        best, arg = -1.0, None
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-            val = (m[i] ** ps + (m[j] + m[k]) ** ps) ** (1.0 / ps)
-            if val > best:
-                best, arg = val, (i, j, k)
-        i, j, k = arg
+        vals = [t ** (1.0 / ps) for t in _example54_terms(ps, m)]
+        arg = int(np.argmax(vals))
+        best, (i, j, k) = vals[arg], _EXAMPLE54_INDEX[arg]
         b = np.zeros(3)
         if best > 0:
             b[i] = m[i] ** (ps - 1.0)
@@ -735,13 +778,15 @@ def _eval_blocks(blocks, v: np.ndarray) -> tuple:
     return vals, side
 
 
-def _example54_value(p: float, v: np.ndarray) -> float:
-    ps = conjugate(p)
-    a = np.abs(v)
-    best = 0.0
-    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        best = max(best, (a[i] ** ps + (a[j] + a[k]) ** ps) ** (1.0 / ps))
-    return float(best)
+# (i, j, k) per term of the Example 5.4 norm: i is the distinguished index
+_EXAMPLE54_INDEX = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
+def _example54_terms(ps: float, a: np.ndarray) -> list:
+    """a_i^{p*} + (a_j + a_k)^{p*} for each distinguished index i, at a >= 0;
+    the norm is the largest of their 1/p*-th powers.  Scalar powers, one term
+    at a time, so every caller rounds alike."""
+    return [a[i] ** ps + (a[j] + a[k]) ** ps for i, j, k in _EXAMPLE54_INDEX]
 
 
 # ---------------------------------------------------------------------------

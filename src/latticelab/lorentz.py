@@ -1,7 +1,11 @@
-"""Decreasing rearrangements, weak-L_p renormings, and the q,1 integral norm
-for step functions over finite atomic measures, plus the constructive
-multiplier embedding of a renormed weak-L_p into a weighted weak-L_p with the
-plain [1]-norm.
+"""The step-function front of the Lorentz norms, and the embedding builder.
+
+Step functions over finite atomic measures, their decreasing rearrangements
+and the weak-L_p quasinorm; the [r]-renormings of weak-L_p and the q,1 integral
+norm, computed by the kernels of the specs ``WeightedLorentzPInfty`` and
+``WeightedLorentzQ1`` in :mod:`latticelab.core` (imports run one way, from here
+to core); and the constructive multiplier embedding of a renormed weak-L_p into
+a weighted weak-L_p with the plain [1]-norm.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from ._util import TOLERANCES, conjugate, rng_for
-from .core import AtomicMeasure
+from .core import AtomicMeasure, WeightedLorentzPInfty, WeightedLorentzQ1
 
 __all__ = [
     "StepFunction",
@@ -129,62 +133,11 @@ def quasinorm_pinfty(f: StepFunction, p: float) -> float:
     return float(np.max(T ** (1.0 / p) * v))
 
 
-def _pinfty_r_params(p: float, r: float):
-    if not 1 < p < math.inf:
-        raise ValueError(f"p must lie in (1, inf), got {p}")
-    if not 1 <= r:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if r >= p:
-        raise ValueError(f"requires r < p, got r={r}, p={p}")
-
-
-def _prefix_values(ws: np.ndarray, ms: np.ndarray, p: float, r: float) -> np.ndarray:
-    if r == 1:  # x ** 1.0 == x: skip both powers
-        return ws.cumsum(axis=-1) ** (1.0 / p - 1.0) * (ws * ms).cumsum(axis=-1)
-    return ws.cumsum(axis=-1) ** (1.0 / p - 1.0 / r) * (ws * ms ** r).cumsum(axis=-1) ** (1.0 / r)
-
-
-def superlevel_scan(m: np.ndarray, w: np.ndarray, p: float, r: float) -> tuple:
-    """(vals, order) for moduli m (one vector, or a (k, n) stack of rows) over
-    atom weights w: ``order`` sorts each row stably by decreasing modulus, and
-    ``vals[..., j]`` is mu(A)^{1/p - 1/r} (int_A m^r dmu)^{1/r} on the atoms
-    A = ``order[..., :j + 1]``.  A row's [r]-norm is the max of its vals.
-
-    The vals are homogeneous in m, so a row whose top modulus to the power r
-    would leave [2^-512, 2^512] is scanned divided by that modulus and
-    multiplied back; rows in that range are scanned as they are."""
-    neg = -m
-    order = neg.argsort(axis=-1, kind="stable")
-    ws = w[order]
-    # tied moduli are equal, so the sorted values are m in that order
-    ms = -np.sort(neg, axis=-1)
-    lo, hi = 2.0 ** (-512 / r), 2.0 ** (512 / r)
-    col = ms[:1] if ms.ndim == 1 else ms[:, 0]
-    # a few tops are cheaper to bound in Python than with two numpy reductions
-    tops = col.tolist() if len(col) <= 64 else [col.min(), col.max()]
-    if lo <= min(tops) and max(tops) <= hi:
-        return _prefix_values(ws, ms, p, r), order
-    top = ms[..., :1]
-    scale = np.where((top > 0) & ((top < lo) | (top > hi)), top, 1.0)
-    return _prefix_values(ws, ms / scale, p, r) * scale, order
-
-
 def norm_pinfty_r_argmax(f: StepFunction, p: float, r: float):
-    """([r]-norm value, indicator of a maximizing atom subset).
-
-    The sup over atom sets is attained at a superlevel set of |f| for any
-    weights (a ratio of a modular function to a concave power of another), so
-    one scan over the prefixes of the decreasing order of |f| is exact.  Tied
-    moduli may split; every prefix is still a genuine atom set."""
-    _pinfty_r_params(p, r)
-    m = np.abs(f.as_array)
-    mask = np.zeros(m.shape[0])
-    if not (m > 0).any():
-        return 0.0, mask
-    vals, order = superlevel_scan(m, f.measure.as_array, p, r)
-    k = int(vals.argmax())
-    mask[order[:k + 1]] = 1.0
-    return float(vals[k]), mask
+    """([r]-norm value, indicator of a maximizing atom subset), by the
+    superlevel-set scan of :class:`~latticelab.core.WeightedLorentzPInfty`,
+    which also checks 1 <= r < p."""
+    return WeightedLorentzPInfty(p, r, f.measure)._norm_argmax(np.abs(f.as_array))
 
 
 def norm_pinfty_r(f: StepFunction, p: float, r: float) -> float:
@@ -194,22 +147,15 @@ def norm_pinfty_r(f: StepFunction, p: float, r: float) -> float:
 
 
 def norm_q1(f: StepFunction, q: float) -> float:
-    """q * sum_k v_k (T_k^{1/q} - T_{k-1}^{1/q})."""
-    if not 1 < q < math.inf:
-        raise ValueError(f"q must lie in (1, inf), got {q}")
-    rs = rearrange(f)
-    if not rs.values:
-        return 0.0
-    v = np.array(rs.values)
-    T = np.concatenate([[0.0], np.array(rs.breakpoints)])
-    return float(q * np.sum(v * (T[1:] ** (1.0 / q) - T[:-1] ** (1.0 / q))))
+    """q * sum_k v_k (T_k^{1/q} - T_{k-1}^{1/q}), by
+    :class:`~latticelab.core.WeightedLorentzQ1`."""
+    return WeightedLorentzQ1(q, f.measure).evaluate(f.as_array)[0]
 
 
 def check_renorming_sandwich(f: StepFunction, p: float, r: float,
                              tol: float = TOLERANCES["sandwich"]) -> dict:
     """quasinorm <= [r]-norm <= (p/(p-r))^{1/r} * quasinorm, plus monotonicity
     of the [r]-norm along a grid of r values."""
-    _pinfty_r_params(p, r)
     quasi = quasinorm_pinfty(f, p)
     norm_r = norm_pinfty_r(f, p, r)
     factor = (p / (p - r)) ** (1.0 / r)
@@ -252,7 +198,7 @@ def build_weakLp_embedding(a: StepFunction, p: float, r: float,
 
     Requires strictly positive values and C <= 1.
     """
-    _pinfty_r_params(p, r)
+    src = WeightedLorentzPInfty(p, r, a.measure)
     av = a.as_array
     if np.any(av <= 0):
         raise ValueError("embedding requires strictly positive values on all atoms")
@@ -273,27 +219,18 @@ def build_weakLp_embedding(a: StepFunction, p: float, r: float,
         raise ValueError("degenerate weights in the interpolated measure")
     nu = AtomicMeasure(tuple(d.tolist()))
     coeffs = M ** (r / p) * av ** (r - 1.0) * b / d
-    mu = a.measure
-
-    def norm_src(vals):
-        return norm_pinfty_r(StepFunction(tuple(vals.tolist()), mu), p, r)
-
-    def norm_dst(vals):
-        return norm_pinfty_r(StepFunction(tuple(vals.tolist()), nu), p, 1.0)
 
     rng = rng_for(seed, "weaklp-embed", n)
     probes = [av, np.ones(n)]
     if n <= 6:
         base = rng.standard_normal(n)
-        for masks in subset_mask_chunks(n):
-            for row in masks:
-                probes.append(row)
-                probes.append(av * row)
-                probes.append(base * row)
+        masks = np.vstack(list(subset_mask_chunks(n)))
+        # per subset: its indicator, a on it, and a random vector on it
+        probes.extend(np.stack([masks, av * masks, base * masks], axis=1).reshape(-1, n))
         fixed = np.abs(rng.standard_normal(n)) + 0.1
-        for bits in range(1 << n):
-            signs = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(n)])
-            probes.append(fixed * signs)
+        # every sign pattern, bit i of the row index giving the sign of atom i
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        probes.extend(fixed * np.where(bits == 1, 1.0, -1.0))
     while len(probes) < samples:
         kind = len(probes) % 3
         if kind == 0:
@@ -302,12 +239,11 @@ def build_weakLp_embedding(a: StepFunction, p: float, r: float,
             probes.append(np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.7))
         else:
             probes.append(rng.standard_normal(n) * av)
-    max_violation = 0.0
-    for fvals in probes:
-        lhs = norm_dst(coeffs * fvals)
-        rhs = norm_src(fvals)
-        max_violation = max(max_violation, lhs - rhs)
-    Sa_norm = norm_dst(coeffs * av)
+    probes = np.array(probes)
+    # probe 0 is a itself, so its image norm is ||S a||
+    lhs = WeightedLorentzPInfty(p, 1.0, nu).eval_rows(coeffs * probes)
+    max_violation = max(0.0, float((lhs - src.eval_rows(probes)).max()))
+    Sa_norm = float(lhs[0])
     C_r = C ** r
     verification = {
         "samples": len(probes),

@@ -211,6 +211,16 @@ def test_constants_estimate_command(tmp_path, capsys):
     assert rep["kind"] == {"name": "convex", "p": 2, "q": 2}
 
 
+@pytest.mark.parametrize("kind, p, q, need", [("concave", "2", "3", "1 <= --q <= --p"),
+                                              ("convex", "3", "2", "1 <= --p <= --q")])
+def test_constants_estimate_names_flags_in_exponent_errors(tmp_path, capsys, kind, p, q, need):
+    lat = write_doc(tmp_path, "l2.json", L2)
+    code, out, err = run_cli(["constants", "estimate", "--lattice", lat, "--kind", kind,
+                              "--p", p, "--q", q], capsys)
+    assert code == 1 and out == ""
+    assert f"--kind {kind} needs {need}, got --p={p}, --q={q}" in err
+
+
 def test_q_convex_bound_command(tmp_path, capsys):
     lat = write_doc(tmp_path, "l2.json", L2)
     code, out, _ = run_cli(["constants", "q-convex-bound", "--lattice", lat,

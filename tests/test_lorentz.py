@@ -177,6 +177,48 @@ def test_eval_rows_equals_row_by_row_evaluate(n):
         assert rows[1] == 0.0
 
 
+def _q1_by_rearrangement(f, q):
+    """The q,1-norm summed over the distinct nonzero moduli of the rearrangement:
+    tied moduli merged and zero moduli dropped before the one sum."""
+    rs = rearrange(f)
+    if not rs.values:
+        return 0.0
+    v = np.array(rs.values)
+    T = np.concatenate([[0.0], np.array(rs.breakpoints)])
+    return float(q * np.sum(v * (T[1:] ** (1.0 / q) - T[:-1] ** (1.0 / q))))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 17, 64])
+def test_spec_kernels_equal_step_function_api(n):
+    # the specs own the kernels: their stacked eval_rows gives the step-function
+    # values bit for bit, far from 1 too
+    rng = np.random.default_rng(200 + n)
+    w = ll.AtomicMeasure(tuple(rng.uniform(0.3, 3.0, n).tolist()))
+    mat = rng.standard_normal((10, n))
+    mat[1] = 0.0                                        # zero row
+    mat[2] = rng.choice([-2.0, 1.0, 2.0], n)            # tied moduli
+    mat[3, rng.random(n) < 0.4] = 0.0                   # zero moduli
+    mat[4] = 1.5                                        # one modulus on every atom
+    mat[5] *= 2.0 ** 600
+    mat[6] *= 2.0 ** -600
+    mat[7] = rng.choice([-1.0, 3.0], n) * 2.0 ** -600  # tied and tiny
+    fs = [StepFunction(tuple(row.tolist()), w) for row in mat]
+    for p, r in ((2.5, 1.0), (2.5, 1.7), (1.3, 1.05), (4.0, 3.5)):
+        rows = ll.WeightedLorentzPInfty(p, r, w).eval_rows(mat)
+        assert rows.tolist() == [norm_pinfty_r(f, p, r) for f in fs]
+    for q in (1.3, 2.0, 3.7):
+        rows = ll.WeightedLorentzQ1(q, w).eval_rows(mat)
+        assert rows.tolist() == [norm_q1(f, q) for f in fs]
+        for row, f, val in zip(mat, fs, rows.tolist()):
+            ref = _q1_by_rearrangement(f, q)
+            m = np.abs(row)
+            if m.all() and np.unique(m).size == n:
+                assert val == ref
+            else:
+                # ties and zeros change what numpy's pairwise sum groups
+                assert abs(val - ref) <= 4 * np.spacing(ref)
+
+
 def test_r_norm_is_finite_and_nonzero_far_from_one():
     # |f|^r leaves the float range at 1e+-150 with r = 3.5; the scan rescales
     # such rows by their top modulus, so the value is 2 * 2^(1/4) times the scale
