@@ -17,11 +17,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-DEFAULT_SEED = 0
-DEFAULT_BUDGET = 10000
-
-Infinity = math.inf
-
 # The tolerance of each named check, read by the builder that decides it
 # through a ``tol`` keyword that defaults to this table.
 TOLERANCES = MappingProxyType({

@@ -13,14 +13,13 @@ its evaluation, dual norm, norming functional, dual space and JSON form; the
 public functions below only validate the vector and dispatch to it.  Adding a
 kind means adding one such class plus one entry in the kind table ``_KINDS``.
 
-Norm evaluation is exact wherever a closed form or an LP reformulation exists;
-:func:`eval_norm_detail` and :func:`eval_dual_norm` carry the exact-vs-lower
-flag.  The two Lorentz specs hold every Lorentz kernel: the norms with their
-maximizing sets and marginals, the ``[r]``-duals for all r >= 1 and the
-q,1-dual, each exact at every atom count by one pass along a sorted order.
-The step-function API of :mod:`latticelab.lorentz` calls them.  The one
-certified lower bound left is the dual of :class:`Example54Dual` (SLSQP
-multistart), and the ``predual_of`` norm built on it.
+Every kind evaluates its norm and dual norm exactly, by a closed form, a
+sorted scan or an LP, so :func:`eval_norm_detail` and :func:`eval_dual_norm`
+flag every value "exact".  The two Lorentz specs hold every Lorentz kernel:
+the norms with their maximizing sets and marginals, the ``[r]``-duals for all
+r >= 1 and the q,1-dual, each one pass along a sorted order, which the
+step-function API of :mod:`latticelab.lorentz` calls.  The dual of
+:class:`Example54Dual`, and so the ``predual_of`` norm on it, is a closed form.
 """
 
 from __future__ import annotations
@@ -31,10 +30,10 @@ from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
-# linprog is unused here, but perfbench/tracer.py wraps core.linprog by name
+# unused here: kept only because perfbench/tracer.py wraps both solvers by name
 from scipy.optimize import linprog, minimize  # noqa: F401
 
-from ._util import conjugate, inv, lp_norm, rng_for
+from ._util import conjugate, inv, lp_norm
 
 __all__ = [
     "AtomicMeasure",
@@ -162,8 +161,8 @@ class NormSpec:
         """||row|| for each row of a (k, n) stack."""
         return np.array([self.evaluate(row)[0] for row in mat])
 
-    def dual_norm(self, b: np.ndarray, budget: int, seed: int) -> ConstantEstimate:
-        """sup{<x, b> : ||x|| <= 1} with an exact/lower flag and a witness x."""
+    def dual_norm(self, b: np.ndarray) -> tuple:
+        """(sup{<x, b> : ||x|| <= 1}, "exact" | "lower", a witness x)."""
         raise NotImplementedError
 
     def norming(self, a: np.ndarray) -> np.ndarray:
@@ -209,9 +208,8 @@ class Lp(NormSpec):
     def eval_rows(self, mat):
         return lp_norm(mat, self.p, axis=1)
 
-    def dual_norm(self, b, budget, seed):
-        val = float(lp_norm(b, conjugate(self.p)))
-        return ConstantEstimate(val, "exact", _lp_norming(self.p, b), budget, seed)
+    def dual_norm(self, b):
+        return float(lp_norm(b, conjugate(self.p))), "exact", _lp_norming(self.p, b)
 
     def norming(self, a):
         p = self.p
@@ -316,11 +314,11 @@ class WeightedLorentzPInfty(NormSpec):
         mask[order[:k + 1]] = 1.0
         return float(vals[k]), mask
 
-    def dual_norm(self, b, budget, seed):
+    def dual_norm(self, b):
         a = np.abs(b)
         sgn = np.where(b < 0, -1.0, 1.0)
         if self.r > 1:
-            return _dual_lorentz_pinfty_concave(self, a, sgn, budget, seed)
+            return _dual_lorentz_pinfty_concave(self, a, sgn)
         # with v = w u the [1]-ball is {v >= 0 : v(A) <= mu(A)^{1/p*}}, a polymatroid
         # (a concave power of a modular function is submodular), so Edmonds' greedy
         # along decreasing |b_i|/w_i maximizes <|b|, u> exactly (Edmonds 1970)
@@ -328,7 +326,7 @@ class WeightedLorentzPInfty(NormSpec):
         order, mass = _density_order(a, w)
         u = np.zeros_like(a)
         u[order] = np.diff(mass ** (1.0 - 1.0 / self.p), prepend=0.0) / w[order]
-        return ConstantEstimate(float(a @ u), "exact", sgn * u, budget, seed)
+        return float(a @ u), "exact", sgn * u
 
     def norming(self, a):
         w = self.measure.as_array
@@ -388,7 +386,7 @@ class WeightedLorentzQ1(NormSpec):
         roots = np.cumsum(self.measure.as_array[order], axis=-1) ** (1.0 / self.q)
         return order, np.diff(roots, axis=-1, prepend=0.0)
 
-    def dual_norm(self, b, budget, seed):
+    def dual_norm(self, b):
         """The positive face of the q,1-ball is the convex hull of the normalized
         indicators 1_A / (q mu(A)^{1/q}) (layer-cake additivity), so the dual norm
         is max_A sum_{i in A} |b_i| / (q mu(A)^{1/q}).  As for the [r]-norm, that
@@ -403,7 +401,7 @@ class WeightedLorentzQ1(NormSpec):
         x = np.zeros_like(a)
         top = order[:k + 1]
         x[top] = np.where(b[top] < 0, -1.0, 1.0) / (q * mass[k] ** (1.0 / q))
-        return ConstantEstimate(float(vals[k]), "exact", x, budget, seed)
+        return float(vals[k]), "exact", x
 
     def norming(self, a):
         order, steps = self._steps(np.abs(a))
@@ -439,12 +437,12 @@ class LinfSum(NormSpec):
         vals, side = _eval_blocks(self.blocks, v)
         return max([0.0, *vals]), side
 
-    def dual_norm(self, b, budget, seed):
-        vals, wits, side = _dual_blocks(self.blocks, b, budget, seed)
+    def dual_norm(self, b):
+        vals, wits, side = _dual_blocks(self.blocks, b)
         total = 0.0
         for val in vals:
             total += val
-        return ConstantEstimate(total, side, np.concatenate(wits), budget, seed)
+        return total, side, np.concatenate(wits)
 
     def norming(self, a):
         pieces = _split_blocks(a, self.blocks)
@@ -487,14 +485,12 @@ class BlockLorentz(NormSpec):
         val, s = self.outer.evaluate(np.array(t))
         return val, ("exact" if side == s == "exact" else "lower")
 
-    def dual_norm(self, b, budget, seed):
-        t, wits, side = _dual_blocks(self.blocks, b, budget, seed)
-        outer_est = self.outer.dual_norm(np.array(t), budget, seed)
-        if outer_est.side != "exact":
+    def dual_norm(self, b):
+        t, wits, side = _dual_blocks(self.blocks, b)
+        val, outer_side, s = self.outer.dual_norm(np.array(t))
+        if outer_side != "exact":
             side = "lower"
-        s = as_vector(outer_est.witness)
-        witness = np.concatenate([s[k] * wits[k] for k in range(len(wits))])
-        return ConstantEstimate(outer_est.value, side, witness, budget, seed)
+        return val, side, np.concatenate([s[k] * wits[k] for k in range(len(wits))])
 
     def norming(self, a):
         pieces = _split_blocks(a, self.blocks)
@@ -516,6 +512,10 @@ class BlockLorentz(NormSpec):
         return (outer, _parse_blocks(doc, path))
 
 
+# (i, j, k) per term of the Example 5.4 norm: i is the distinguished index
+_EXAMPLE54_INDEX = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
 @dataclass(frozen=True)
 class Example54Dual(NormSpec):
     """Three-term max norm on R^3:
@@ -534,52 +534,71 @@ class Example54Dual(NormSpec):
         object.__setattr__(self, "p", p)
 
     def evaluate(self, v):
-        ps = conjugate(self.p)
-        roots = [t ** (1.0 / ps) for t in _example54_terms(ps, np.abs(v))]
-        return float(max(0.0, *roots)), "exact"
+        c, _, roots = self._roots(v)
+        return c * float(max(0.0, *roots)), "exact"
 
-    def dual_norm(self, b, budget, seed):
-        """sup{<x,b> : ||x||_{three-term max} <= 1} via SLSQP on the positive
-        orthant plus multistart ascent; certified one-sided."""
+    def _roots(self, v: np.ndarray) -> tuple:
+        """(c, m, roots): the norm of v is c * max(roots), with roots the terms
+        at m = |v| / c.  c = 1 unless D^{p*} would leave [2^-512, 2^512] for the
+        largest pair sum D of |v|; then c = D, so the bases are at most 1."""
         ps = conjugate(self.p)
+        m = np.abs(v)
+        top = float(m.sum() - m.min())
+        e = math.frexp(top)[1]
+        c = top if top > 0 and not (-512 <= (e - 1) * ps and e * ps <= 512) else 1.0
+        if c != 1.0:
+            m = m / c
+        return c, m, [(m[i] ** ps + (m[j] + m[k]) ** ps) ** (1.0 / ps) for i, j, k in _EXAMPLE54_INDEX]
+
+    def dual_norm(self, b):
+        """sup{<x, b> : ||x|| <= 1}, exact in closed form.
+
+        Write a = |b|, s = p*, M = a_i its largest entry, r = (sum a - 2M)/M.
+        The norm depends on |x| only, so take x >= 0 and slice by the sum S.
+        Term j of the norm, phi(x_j) = ||(x_j, S - x_j)||_s, is convex in x_j
+        and symmetric about S/2.  For S <= 1, phi <= phi(0) = S <= 1: the
+        slice is the simplex, best at S e_i, worth S M <= M.  For S > 1,
+        phi(x_j) <= 1 exactly when L <= x_j <= S - L, L the smaller root of
+        L^s + (S - L)^s = 1; two entries >= L put the third below S - 2L, so
+        the slice is {x >= L}, best at L on every atom and the rest on atom i.
+        So with (t, u) = (L, S - L) on the unit l_s sphere, and (0, 1) for
+        S = 1, the sup is the max of M (r t + u), the value of
+        t 1 + (u - 2t) e_i, over 0 <= t <= u/2.  That max is
+        - M at (0, 1) if r <= 0;
+        - M n, n = (1 + r^p)^{1/p}, at the l_p-norming point
+          ((r/n)^{p-1}, (1/n)^{p-1}) of (r, 1) if that has t <= u/2, which is
+          r^{p-1} <= 1/2;
+        - else on t = u/2, as the form grows from any point with t < u/2
+          towards that norming point inside the ball: t = (1 + 2^s)^{-1/s},
+          computed as (1 + 2^{-s})^{-1/s} / 2 so as not to overflow, and
+          value t sum a.
+        The witness is sgn(b) (t 1 + (u - 2t) e_i), the value its pairing."""
         a = np.abs(b)
-        sgn = np.where(np.sign(b) == 0, 1.0, np.sign(b))
-
-        def cons_val(x):
-            return 1.0 - np.array(_example54_terms(ps, np.abs(x)))
-
-        best_x, best_val = np.zeros(3), 0.0
-        rng = rng_for(seed, "ex54-dual")
-        starts = [np.full(3, 0.3), np.array([0.9, 0.05, 0.05]), np.array([0.05, 0.9, 0.05]),
-                  np.array([0.05, 0.05, 0.9])]
-        for _ in range(max(8, min(32, budget // 100))):
-            starts.append(rng.random(3) * 0.8 + 0.05)
-        for x0 in starts:
-            res = minimize(lambda x: -float(a @ x), x0, constraints=[{"type": "ineq", "fun": cons_val}],
-                           bounds=[(0, None)] * 3, method="SLSQP",
-                           options={"maxiter": 200, "ftol": 1e-14})
-            x = np.maximum(res.x, 0.0)
-            nv = self.evaluate(x)[0]
-            if nv > 0:
-                x = x / max(nv, 1.0)
-            val = float(a @ x)
-            if val > best_val:
-                best_val, best_x = val, x
-        return ConstantEstimate(best_val, "lower", sgn * best_x, budget, seed)
+        i = int(np.argmax(a))
+        big = float(a[i])
+        r = (float(a.sum()) - 2.0 * big) / big if big > 0 else 0.0
+        p, s = self.p, conjugate(self.p)
+        if r <= 0:
+            t, u = 0.0, 1.0
+        elif r ** (p - 1.0) <= 0.5:
+            n = (1.0 + r ** p) ** (1.0 / p)
+            t, u = (r / n) ** (p - 1.0), (1.0 / n) ** (p - 1.0)
+        else:
+            t = 0.5 * (1.0 + 2.0 ** -s) ** (-1.0 / s)
+            u = 2.0 * t
+        x = np.full(3, t)
+        x[i] = u - t
+        return float(a @ x), "exact", np.where(b < 0, -1.0, 1.0) * x
 
     def norming(self, a):
         ps = conjugate(self.p)
-        m = np.abs(a)
-        vals = [t ** (1.0 / ps) for t in _example54_terms(ps, m)]
+        _, m, vals = self._roots(a)
         arg = int(np.argmax(vals))
         best, (i, j, k) = vals[arg], _EXAMPLE54_INDEX[arg]
         b = np.zeros(3)
-        if best > 0:
-            b[i] = m[i] ** (ps - 1.0)
-            b[j] = (m[j] + m[k]) ** (ps - 1.0)
-            b[k] = b[j]
-            b *= best ** (1.0 - ps)
-        return b * np.sign(a)
+        b[i] = m[i] ** (ps - 1.0)
+        b[j] = b[k] = (m[j] + m[k]) ** (ps - 1.0)
+        return b * best ** (1.0 - ps) * np.sign(a)
 
     def to_dict(self):
         return {"kind": self.kind, "p": self.p}
@@ -605,17 +624,15 @@ class PredualOf(NormSpec):
         return self.inner.forced_dim
 
     def evaluate(self, v):
-        est = self.inner.dual_norm(v, budget=2000, seed=0)
-        return est.value, ("exact" if est.side == "exact" else "lower")
+        return self.inner.dual_norm(v)[:2]
 
-    def dual_norm(self, b, budget, seed):
+    def dual_norm(self, b):
         # bipolar: the dual of the predual is the referenced norm itself
         val, side = self.inner.evaluate(b)
-        wit = norming_functional(NormedLattice(b.shape[0], self.inner), b)
-        return ConstantEstimate(val, side, wit, budget, seed)
+        return val, side, norming_functional(NormedLattice(b.shape[0], self.inner), b)
 
     def norming(self, a):
-        return as_vector(self.inner.dual_norm(a, budget=2000, seed=0).witness)
+        return self.inner.dual_norm(a)[2]
 
     def dual_spec(self):
         return self.inner
@@ -644,11 +661,11 @@ class GaugeOf(NormSpec):
 
         return convexgeom.gauge(self.body, v), "exact"
 
-    def dual_norm(self, b, budget, seed):
+    def dual_norm(self, b):
         from . import convexgeom
 
         val, g = convexgeom.support_function_witness(self.body, b)
-        return ConstantEstimate(val, "exact", g, budget, seed)
+        return val, "exact", g
 
     def norming(self, a):
         from . import convexgeom
@@ -778,37 +795,22 @@ def _eval_blocks(blocks, v: np.ndarray) -> tuple:
     return vals, side
 
 
-# (i, j, k) per term of the Example 5.4 norm: i is the distinguished index
-_EXAMPLE54_INDEX = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-
-
-def _example54_terms(ps: float, a: np.ndarray) -> list:
-    """a_i^{p*} + (a_j + a_k)^{p*} for each distinguished index i, at a >= 0;
-    the norm is the largest of their 1/p*-th powers.  Scalar powers, one term
-    at a time, so every caller rounds alike."""
-    return [a[i] ** ps + (a[j] + a[k]) ** ps for i, j, k in _EXAMPLE54_INDEX]
-
-
 # ---------------------------------------------------------------------------
 # dual norms
 
 
 def eval_dual_norm(X: NormedLattice, b, budget: int = 2000, seed: int = 0) -> ConstantEstimate:
-    """sup{<x, b> : ||x||_X <= 1} with an exact/lower flag and a witness x."""
-    return X.norm.dual_norm(_vector_in(X, b), budget, seed)
+    """sup{<x, b> : ||x||_X <= 1} with an exact/lower flag and a witness x;
+    ``budget`` and ``seed`` are only recorded, as no kind searches."""
+    return ConstantEstimate(*X.norm.dual_norm(_vector_in(X, b)), budget, seed)
 
 
-def _dual_blocks(blocks, b: np.ndarray, budget: int, seed: int) -> tuple:
+def _dual_blocks(blocks, b: np.ndarray) -> tuple:
     """Dual norms and witnesses of the consecutive blocks of b, and 'lower' if
     any of them is."""
-    vals, wits, side = [], [], "exact"
-    for blk, piece in zip(blocks, _split_blocks(b, blocks)):
-        est = blk.norm.dual_norm(piece, budget, seed)
-        vals.append(est.value)
-        wits.append(as_vector(est.witness) if est.witness is not None else np.zeros(blk.dim))
-        if est.side != "exact":
-            side = "lower"
-    return vals, wits, side
+    ests = [blk.norm.dual_norm(piece) for blk, piece in zip(blocks, _split_blocks(b, blocks))]
+    vals, sides, wits = zip(*ests)
+    return vals, wits, ("exact" if all(s == "exact" for s in sides) else "lower")
 
 
 def _lp_norming(p_of_ball: float, b: np.ndarray) -> np.ndarray:
@@ -846,7 +848,7 @@ def _density_order(a: np.ndarray, w: np.ndarray) -> tuple:
     return order, np.cumsum(w[order])
 
 
-def _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed) -> ConstantEstimate:
+def _dual_lorentz_pinfty_concave(spec, a, sgn) -> tuple:
     """r > 1, exact: with v_i = w_i |f_i|^r the [r]-ball is the polymatroid
     {v >= 0 : v(A) <= g(mu(A))}, g(m) = m^{1 - r/p}, and <a, |f|> is
     sum_i c_i^{1 - 1/r} v_i^{1/r} with c_i = (a_i/w_i)^{r/(r-1)} w_i.  Its maximizer
@@ -885,7 +887,7 @@ def _dual_lorentz_pinfty_concave(spec, a, sgn, budget, seed) -> ConstantEstimate
     logv = lg[bid] + rel - np.log(np.add.reduceat(np.exp(rel), start))[bid]
     f = np.zeros(a.shape[0])
     f[idx] = np.exp((logv - logw) / r)
-    return ConstantEstimate(float(a @ f), "exact", sgn * f, budget, seed)
+    return float(a @ f), "exact", sgn * f
 
 
 # ---------------------------------------------------------------------------

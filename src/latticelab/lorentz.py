@@ -122,9 +122,10 @@ def rearrange(f: StepFunction) -> RearrangedStep:
 
 
 def quasinorm_pinfty(f: StepFunction, p: float) -> float:
-    """sup_t t^{1/p} f*(t) = max_k T_k^{1/p} v_k."""
-    if not 1 < p < math.inf:
-        raise ValueError(f"p must lie in (1, inf), got {p}")
+    """sup_t t^{1/p} f*(t) = max_k T_k^{1/p} v_k; the constructor of
+    :class:`~latticelab.core.WeightedLorentzPInfty` checks p, as for the
+    [r]-norms."""
+    WeightedLorentzPInfty(p, 1, f.measure)
     rs = rearrange(f)
     if not rs.values:
         return 0.0

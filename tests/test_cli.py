@@ -201,6 +201,13 @@ def test_sandwich_rejects_bad_exponents(capsys):
     assert code == 1 and "r < p" in err
 
 
+@pytest.mark.parametrize("argv", [["lorentz", "quasinorm", "--p", "0.5"],
+                                  ["lorentz", "sandwich", "--p", "0.5", "--r", "1"]])
+def test_lorentz_p_errors_name_the_field(argv, capsys):
+    code, _, err = run_cli(argv + ["--values", "1,2"], capsys)
+    assert code == 1 and "p: p must lie in (1, inf), got 0.5" in err
+
+
 def test_constants_estimate_command(tmp_path, capsys):
     lat = write_doc(tmp_path, "l2.json", L2)
     code, out, _ = run_cli(["constants", "estimate", "--lattice", lat, "--kind", "convex",

@@ -61,6 +61,48 @@ def test_eval_norm_example54_dual():
     assert ll.eval_norm(E, [0, -1, 1]) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_example54_dual_closed_form_against_a_grid():
+    """The closed-form dual of the Example 5.4 norm against the best point of
+    a 1/1000 grid on the positive part of the unit sphere: x_0 and x_1 on the
+    grid, x_2 the largest value that keeps all three terms at most 1."""
+    X2 = ll.NormedLattice(3, ll.Example54Dual(2))
+    assert ll.eval_dual_norm(X2, [1, 1, 1]).value == pytest.approx(3 / math.sqrt(5), rel=1e-15, abs=0)
+    rng = np.random.default_rng(54)
+    x0, x1 = np.meshgrid(np.linspace(0, 1, 1001), np.linspace(0, 1, 1001))
+    x0, x1 = x0.ravel(), x1.ravel()
+    # one case in each branch of the closed form, then random ones
+    cases = [(2.0, np.array([1.0, 0.3, -0.2])), (2.0, np.array([-0.5, 1.0, 0.55])),
+             (3.0, np.array([0.9, 0.95, -1.0]))]
+    for k in range(37):
+        b = rng.standard_normal(3)
+        if k % 3 == 0:
+            b[rng.integers(3)] = 0.0
+        elif k % 3 == 1:
+            j = int(np.argmax(np.abs(b)))
+            b[(j + 1) % 3] = -b[j]  # a tie for the largest modulus
+        cases.append((float(rng.uniform(1.2, 5)), b))
+    branches = set()
+    for p, b in cases:
+        a = np.abs(b)
+        r = (a.sum() - 2 * a.max()) / a.max()
+        branches.add(0 if r <= 0 else (1 if r ** (p - 1) <= 0.5 else 2))
+        X = ll.NormedLattice(3, ll.Example54Dual(p))
+        est = ll.eval_dual_norm(X, b)
+        assert est.side == "exact"
+        s = p / (p - 1)
+        with np.errstate(invalid="ignore"):  # off the ball the roots are nan
+            x2 = np.minimum(np.minimum((1 - x0 ** s) ** (1 / s) - x1, (1 - x1 ** s) ** (1 / s) - x0),
+                            (1 - (x0 + x1) ** s) ** (1 / s))
+        ok = x2 >= 0
+        grid = float((a[0] * x0[ok] + a[1] * x1[ok] + a[2] * x2[ok]).max())
+        assert grid <= est.value * (1 + 1e-12)
+        assert est.value - grid <= 5e-4 * est.value
+        w = np.asarray(est.witness)
+        assert ll.eval_norm(X, w) <= 1 + 1e-15
+        assert float(w @ b) == pytest.approx(est.value, rel=1e-15, abs=0)
+    assert branches == {0, 1, 2}
+
+
 def test_eval_norm_linf_sum():
     S = ll.NormedLattice(4, ll.LinfSum((ll.NormedLattice(2, ll.Lp(2)),
                                         ll.NormedLattice(2, ll.Lp(1)))))
@@ -506,6 +548,7 @@ PROTOCOL_LATTICES = {
 }
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("name", list(PROTOCOL_LATTICES))
 def test_norm_spec_protocol(name):
     X = PROTOCOL_LATTICES[name]
@@ -524,3 +567,11 @@ def test_norm_spec_protocol(name):
     else:
         assert np.array_equal(batched, rowwise)
     assert ll.NormSpec.from_dict(spec.to_dict()) == spec
+    # 1-homogeneous norm, 0-homogeneous norming functional, past the float range
+    for c in (2.0 ** 600, 2.0 ** -600):
+        for a in rows:
+            assert ll.eval_norm(X, c * a) == pytest.approx(c * ll.eval_norm(X, a), rel=1e-15, abs=0)
+            np.testing.assert_allclose(ll.norming_functional(X, c * a), ll.norming_functional(X, a),
+                                       rtol=1e-15, atol=0)
+    assert ll.eval_norm_detail(X, rows[0])[1] == "exact"
+    assert ll.eval_dual_norm(X, rows[0]).side == "exact"
