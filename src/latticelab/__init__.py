@@ -68,6 +68,7 @@ from .convexgeom import (  # noqa: F401
     build_minimal_factorization,
     gauge,
     gauge_norming,
+    gauge_rows,
     interpolate_theta,
     search_D_violation,
     support_function,

@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 # linprog is unused here, but perfbench/tracer.py wraps convexgeom.linprog by name
 from scipy.optimize import linprog  # noqa: F401
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 from ._util import conjugate, hill_climb, lp_norm, rng_for
 from .core import (
@@ -40,6 +42,7 @@ __all__ = [
     "SolidConvexBody",
     "FactorizationTriple",
     "gauge",
+    "gauge_rows",
     "gauge_norming",
     "body_contains",
     "support_function",
@@ -96,6 +99,13 @@ class SolidConvexBody:
         G = np.abs(self._G)
         G.setflags(write=False)
         return G
+
+    @cached_property
+    def polar_vertices(self) -> "_PolarVertices | None":
+        """The vertices of the polar {z >= 0 : G z <= 1} of ``gen_matrix``,
+        each with its d active constraints (see :func:`_polar_vertices`);
+        None unless 2 <= d <= 4 and no column of G is zero."""
+        return _polar_vertices(self.gen_matrix)
 
     def to_dict(self) -> dict:
         return {"generators": self._G.tolist()}
@@ -214,26 +224,139 @@ def _gauge_lp(G: np.ndarray, a: np.ndarray):
     return z
 
 
+class _PolarVertices(NamedTuple):
+    """Vertices z of the polar {z >= 0 : G z <= 1}, one row each, with a basis
+    of d active constraints per vertex: ``basis[v]`` holds their rows (a
+    generator, or -e_j for z_j >= 0), ``inverse[v]`` the inverse of that d x d
+    matrix, and ``on_g[v]`` marks the generator rows."""
+
+    z: np.ndarray
+    basis: np.ndarray
+    inverse: np.ndarray
+    on_g: np.ndarray
+
+
+def _polar_vertices(G: np.ndarray):
+    """The vertex set behind ``SolidConvexBody.polar_vertices``, or None.
+
+    For 2 <= d <= 4 and no zero column of G the polar is a polytope, and t 1
+    with t = 0.5 / (largest row sum of G) lies inside it.  qhull's halfspace
+    intersection (option Qt: every vertex comes with exactly d facets) lists
+    the vertices; each is solved again on the unscaled data through the
+    inverse of its basis, clamped at 0, and kept only if G z <= 1 + 1e-12.  A
+    vertex whose basis is singular is dropped: the certificate of
+    :func:`_gauge_stack` catches an argmax that a missing vertex makes not
+    optimal."""
+    k, d = G.shape
+    if not 2 <= d <= 4 or not G.max(axis=0).all():
+        return None
+    rows = np.vstack([G, -np.eye(d)])
+    rhs = np.concatenate([np.ones(k), np.zeros(d)])
+    try:
+        hs = HalfspaceIntersection(np.column_stack([rows, -rhs]),
+                                   np.full(d, 0.5 / G.sum(axis=1).max()), qhull_options="Qt")
+        facets = np.array(hs.dual_facets)
+    except (QhullError, ValueError):
+        return None
+    # Qt may triangulate a vertex where more than d facets meet into flat
+    # simplices, whose bases are singular
+    facets = facets[np.linalg.det(rows[facets]) != 0.0]
+    basis = rows[facets]
+    inverse = np.linalg.inv(basis)
+    z = np.maximum(np.einsum("vij,vj->vi", inverse, rhs[facets]), 0.0)
+    keep = (z @ G.T).max(axis=1) <= 1.0 + _CERT_TOL
+    if not keep.any():
+        return None
+    return _PolarVertices(z[keep], basis[keep], inverse[keep], facets[keep] < k)
+
+
+def _gauge_stack(B: SolidConvexBody, A: np.ndarray) -> tuple:
+    """(values, Z, work) for a checked (m, d) stack A of moduli: the gauges,
+    the optimal dual points z as the rows of Z (0 where a gauge is 0 or
+    infinite), and the counts (vertex_rows, simplex_rows, vertex_sets) of
+    rows each path served and of vertex sets this call built (0 or 1).
+
+    With a vertex set, each row takes the vertex z of largest <a, z> and the
+    multipliers mu = B^{-T} a of that vertex's basis B; lam = max(mu, 0) on
+    the generator rows.  The row is accepted only if G^T lam >= a - 1e-12
+    max(a), the inequality ``_gauge_lp`` certifies, and sum(lam) <= <a, z>
+    (1 + 1e-12): then <a, z> <= gauge <= sum(lam) pins the value.  Every
+    other row, and every row of a body without a vertex set, is solved by
+    ``_gauge_lp``."""
+    G = B.gen_matrix
+    fresh = "polar_vertices" not in vars(B)
+    P = B.polar_vertices
+    Z = np.zeros_like(A)
+    rest = range(len(A))
+    if P is not None and len(A):
+        idx = (A @ P.z.T).argmax(axis=1)
+        zs = P.z[idx]
+        mu = (A[:, None] @ P.inverse[idx])[:, 0]
+        lam = np.maximum(mu, 0.0) * P.on_g[idx]
+        slack = (lam[:, None] @ P.basis[idx])[:, 0] - A
+        amax = A.max(axis=1)
+        ok = ((slack.min(axis=1) >= -_CERT_TOL * amax)
+              & (lam.sum(axis=1) <= (A * zs).sum(axis=1) * (1.0 + _CERT_TOL)))
+        live = ok & (amax > 0.0)
+        Z[live] = zs[live]
+        rest = np.flatnonzero(~ok)
+    infinite = []
+    for i in rest:
+        z = _gauge_lp(G, A[i])
+        if z is None:
+            infinite.append(i)
+        else:
+            Z[i] = z
+    values = (A * Z).sum(axis=1)
+    values[infinite] = math.inf
+    return values, Z, (len(A) - len(rest), len(rest), int(fresh and P is not None))
+
+
+def _body_rows(B: SolidConvexBody, Y) -> np.ndarray:
+    """|Y| for a (m, d) stack of finite vectors of the body's dimension."""
+    A = np.asarray(Y, dtype=float)
+    if A.ndim != 2 or A.shape[1] != B.dim:
+        raise ValueError(f"expected a stack of vectors of dim {B.dim}, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("vector entries must be finite")
+    return np.abs(A)
+
+
+def gauge_rows(B: SolidConvexBody, Y) -> np.ndarray:
+    """The gauges of the rows of a (m, d) stack Y, checked once; see
+    :func:`gauge`.  The body's polar vertices are enumerated on the first
+    call and serve every later stack on the same body."""
+    return _gauge_stack(B, _body_rows(B, Y))[0]
+
+
 def gauge(B: SolidConvexBody, y) -> float:
     """Minkowski functional: min sum lambda_k s.t. |y| <= sum lambda_k |g_k|,
     lambda >= 0; infinity when y is outside the ideal spanned by generators.
 
-    Solved exactly by the dense simplex ``_gauge_lp`` on the dual LP; the
-    value <|y|, z> comes with a feasible z and lambda, certified within 1e-12
-    relative, so a generator never has gauge above 1 + 1e-12."""
-    a = np.abs(_body_vector(B, y))
-    z = _gauge_lp(B.gen_matrix, a)
-    return math.inf if z is None else float(a @ z)
+    By LP duality the gauge is max <|y|, z> over the polar polytope
+    P = {z >= 0 : G z <= 1}.  For 2 <= d <= 4 and no zero column of G, P's
+    vertices are enumerated once per body (``SolidConvexBody.polar_vertices``)
+    and the gauge is the best vertex, accepted only with multipliers lambda
+    that certify it: G^T lambda >= |y| within 1e-12 max|y|, and sum(lambda)
+    equal to the value within 1e-12 relative.  A vector that fails the
+    certificate, and every vector of a body without a vertex set, goes to the
+    dense simplex ``_gauge_lp``, which certifies its own answer the same way.
+    Either way the value is <|y|, z> with G z <= 1 + 1e-12, so a generator
+    never has gauge above 1 + 1e-12.  One vector is the one-row case of
+    :func:`gauge_rows`."""
+    return float(_gauge_stack(B, np.abs(_body_vector(B, y))[None])[0][0])
 
 
 def gauge_norming(B: SolidConvexBody, y) -> np.ndarray:
     """b with <y, b> = gauge(y) and support_function(B, b) <= 1: sgn(y) z for
-    the optimal dual point z of ``_gauge_lp`` (G z <= 1 within 1e-12)."""
+    the certified optimal vertex z of the polar that :func:`gauge` picks, or
+    the optimal z of the ``_gauge_lp`` fallback (G z <= 1 within 1e-12 either
+    way)."""
     v = _body_vector(B, y)
-    z = _gauge_lp(B.gen_matrix, np.abs(v))
-    if z is None:
+    values, Z, _ = _gauge_stack(B, np.abs(v)[None])
+    if values[0] == math.inf:
         raise ValueError("gauge is infinite here; no norming functional")
-    return np.where(v < 0, -1.0, 1.0) * z
+    return np.where(v < 0, -1.0, 1.0) * Z[0]
 
 
 def body_contains(B: SolidConvexBody, y, tol: float = 1e-9) -> bool:
@@ -591,6 +714,44 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
 # minimal factorization
 
 
+# the work counts of the "gauge" block of a minimal factorization report; the
+# first three are the counts _gauge_stack returns, in its order
+_GAUGE_WORK = ("vertex_rows", "simplex_rows", "vertex_sets", "probe_skips")
+
+
+def _probe_scales(G: np.ndarray, A: np.ndarray, gv: np.ndarray, Z: np.ndarray,
+                  g: np.ndarray, t: float, tau) -> tuple:
+    """(ts, skips, solves): the scales t_1, t_2, ... of the repair fixpoint
+    t -> tau(gauges of the member moduli A on G with the row g / t appended),
+    started at t and stopped once it stalls (at most 60 probes), with the
+    number of member gauges skipped and solved.
+
+    gv and the rows of Z are the members' gauges and optimal z on G.  A
+    member with finite gv and <g / t, z> <= 1 keeps its gauge: z is feasible
+    on the trial polar, which lies inside the parent's, so it stays optimal.
+    The other members are solved by ``_gauge_lp`` on the trial matrix, which
+    is probed only a few times and so never gets a vertex set."""
+    ts, skips, solves = [], 0, 0
+    finite = np.isfinite(gv)
+    for _probe in range(60):
+        row = g / t
+        skip = finite & (Z @ row <= 1.0)
+        trial = np.vstack([G, row])
+        values = gv.copy()
+        for i in np.flatnonzero(~skip):
+            z = _gauge_lp(trial, A[i])
+            values[i] = math.inf if z is None else A[i] @ z
+        skips += int(skip.sum())
+        solves += int((~skip).sum())
+        t_next = tau(values)
+        stalled = t_next >= t * (1 - 1e-10)
+        t = t_next
+        ts.append(t)
+        if stalled:
+            break
+    return ts, skips, solves
+
+
 def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
                                 budget: int = 2000, seed: int = 0,
                                 check_families: int = 200) -> FactorizationTriple:
@@ -607,6 +768,7 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
         return FactorizationTriple(Y, U, V, "ClassC",
                                    {"kind": "ClassC", "dim_Y": X.dim, "trivial": True,
                                     "K_estimate": 0.0,
+                                    "gauge": dict.fromkeys(_GAUGE_WORK, 0),
                                     "norm_checks": {"U0": 0.0, "V0": 0.0,
                                                     "convexity_ratio_max": 0.0},
                                     "checks_pass": True})
@@ -651,13 +813,21 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
             fam = [np.where(labels == i, fam[i], 0.0) for i in range(m)]
         if any(np.any(f != 0) for f in fam):
             fams.append(fam)
+    # one stacked gauge call scores a family's members and its sigma-vector;
+    # work counts the rows each path served (see _gauge_stack)
+    work = dict.fromkeys(_GAUGE_WORK, 0)
+
+    def gauges(rows):
+        values, Z, counts = _gauge_stack(body, _body_rows(body, rows))
+        for key, n in zip(_GAUGE_WORK, counts):
+            work[key] += n
+        return values, Z
+
     def family_ratio(fam):
-        gv = [gauge(body, y) for y in fam]
-        den = tau(gv)
-        if den <= 1e-12:
-            return 0.0, None
         sv = sigma_apply(sigma, fam)
-        return gauge(body, sv) / den, np.abs(sv) / den
+        values = gauges([*fam, sv])[0]
+        den = tau(values[:-1])
+        return 0.0 if den <= 1e-12 else float(values[-1] / den)
 
     def family_fixpoint(fam):
         """Ratio now, plus the limit of renormalizing sv against its own append.
@@ -668,23 +838,19 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
         inside the decomposition set, so each candidate (and the limit)
         stays inside it; only the last one is handed back.
         """
-        gv = [gauge(body, y) for y in fam]
-        den = tau(gv)
+        sv = sigma_apply(sigma, fam)
+        values, Z = gauges([*fam, sv])
+        den = tau(values[:-1])
         if den <= 1e-12:
             return 0.0, None
-        sv = sigma_apply(sigma, fam)
-        val = gauge(body, sv) / den
+        val = float(values[-1] / den)
         if val <= 1 + 1e-9:
             return val, None
-        t = den
-        for _probe in range(60):
-            trial = _append_raw(body, [np.abs(sv) / t])
-            t_next = tau([gauge(trial, y) for y in fam])
-            stalled = t_next >= t * (1 - 1e-10)
-            t = t_next
-            if stalled:
-                break
-        return val, np.abs(sv) / t
+        ts, skips, solves = _probe_scales(body.gen_matrix, np.abs(fam), values[:-1], Z[:-1],
+                                          np.abs(sv), den, tau)
+        work["probe_skips"] += skips
+        work["simplex_rows"] += solves
+        return val, np.abs(sv) / ts[-1]
 
     # each family owns one replaceable generator slot: sv is fixed and its
     # scale only ever decreases, so the fresh row dominates the stale one and
@@ -711,7 +877,7 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
                 body = rebuild()
         if sweep_max <= 1 + 3e-7:
             # sweep ratios are pre-update; settle the figure on the final body
-            ratio_max = max((family_ratio(fam)[0] for fam in fams), default=0.0)
+            ratio_max = max((family_ratio(fam) for fam in fams), default=0.0)
             if ratio_max <= 1 + 1e-6:
                 repair_exit = "converged"
                 break
@@ -725,15 +891,13 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
             stalls = 0
             best_excess = excess
     if repair_exit != "converged":
-        ratio_max = max((family_ratio(fam)[0] for fam in fams), default=0.0)
+        ratio_max = max((family_ratio(fam) for fam in fams), default=0.0)
 
     Y = NormedLattice(X.dim, GaugeOf(body))
     U = LinOperator(T.matrix.copy(), E, Y)
     V = LinOperator(np.eye(X.dim), Y, X)
 
-    u0_max = 0.0
-    for x in u_samples:
-        u0_max = max(u0_max, gauge(body, T.apply(x)))
+    u0_max = float(gauges([T.apply(x) for x in u_samples])[0].max(initial=0.0))
     # K: estimated (tau, sigma)-convexity constant of T = max family ratio;
     # generator families realize their own ratios, so K >= ||g||_X on gauge-1 g
     from .constants import generalized_convexity_ratio
@@ -747,10 +911,9 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
         except ValueError:
             continue
     v0_max = 0.0
-    for g in body.gen_matrix:
-        gv = gauge(body, g)
+    for g, gv in zip(body.gen_matrix, gauges(body.gen_matrix)[0]):
         if gv > 1e-12:
-            v0_max = max(v0_max, eval_norm(X, g) / gv)
+            v0_max = max(v0_max, float(eval_norm(X, g) / gv))
     K = max(K, v0_max)
 
     report = {
@@ -759,6 +922,7 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
         "trivial": False,
         "K_estimate": K,
         "repair": {"rounds": rounds, "exit": repair_exit},
+        "gauge": work,
         "norm_checks": {
             "U0": u0_max,
             "V0": v0_max,
@@ -818,14 +982,14 @@ def interpolate_theta(C0: SolidConvexBody, C1: SolidConvexBody, theta: float,
     # keep the whole pair set: enlarging samples must only grow the body
     body = SolidConvexBody(_prune_generators(np.array(gens), cap=4000))
     # convexity spot check: midpoints of sampled members stay inside
-    mid_max = 0.0
     gm = body.gen_matrix
+    mids = []
     for _ in range(40):
         i, j = rng.integers(0, len(gm), size=2)
         si = rng.choice([-1.0, 1.0], size=body.dim)
         sj = rng.choice([-1.0, 1.0], size=body.dim)
-        mid = 0.5 * (si * gm[i] + sj * gm[j])
-        mid_max = max(mid_max, gauge(body, mid))
+        mids.append(0.5 * (si * gm[i] + sj * gm[j]))
+    mid_max = max(0.0, float(gauge_rows(body, mids).max()))
     return {
         "C_theta": body,
         "p_theta": p_theta,

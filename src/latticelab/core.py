@@ -661,6 +661,11 @@ class GaugeOf(NormSpec):
 
         return convexgeom.gauge(self.body, v), "exact"
 
+    def eval_rows(self, mat):
+        from . import convexgeom
+
+        return convexgeom.gauge_rows(self.body, mat)
+
     def dual_norm(self, b):
         from . import convexgeom
 

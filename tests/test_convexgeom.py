@@ -11,14 +11,19 @@ from scipy.optimize import linprog
 import latticelab as ll
 from latticelab._util import canonical_json, lp_norm
 from latticelab.convexgeom import (
+    _GAUGE_WORK,
     _append_raw,
     _best_decomposition,
     _best_grid_decomposition,
     _column_options,
     _d_search,
+    _gauge_lp,
+    _gauge_stack,
+    _probe_scales,
     _prune_generators,
     _signs,
     _sphere_points,
+    _tau_weights,
 )
 
 L1 = ll.SymmetricSeqNorm(1)
@@ -188,6 +193,168 @@ def test_gauge_norming_certifies_value_on_corpus():
         assert ll.support_function(B, b) <= 1 + 1e-12
 
 
+def _simplex_gauges(B, Y):
+    """The row-wise gauges of Y by the dense simplex alone."""
+    out = []
+    for a in np.abs(np.asarray(Y, dtype=float)):
+        z = _gauge_lp(B.gen_matrix, a)
+        out.append(math.inf if z is None else float(a @ z))
+    return np.array(out)
+
+
+def _assert_rows_match(got, want):
+    assert got.shape == want.shape
+    for g, w in zip(got, want):
+        if w == math.inf:
+            assert g == math.inf
+        else:
+            assert abs(g - w) <= 1e-12 * w, (g, w)
+
+
+def test_gauge_rows_match_the_simplex_on_the_corpus():
+    for B, y in _gauge_corpus():
+        _assert_rows_match(ll.gauge_rows(B, [y, -y, 2 * y]), _simplex_gauges(B, [y, -y, 2 * y]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gauge_rows_match_the_simplex_on_random_bodies(d):
+    rng = np.random.default_rng(100 + d)
+    vertex_rows = 0
+    for _ in range(12):
+        B = ll.SolidConvexBody(rng.random((int(rng.integers(3, 60)), d)) + 1e-3)
+        Y = rng.standard_normal((40, d)) * rng.choice([0.0, 1.0], p=[0.1, 0.9], size=(40, d))
+        Y = np.vstack([Y, B.gen_matrix])
+        values, _, (vertex, simplex, built) = _gauge_stack(B, np.abs(Y))
+        _assert_rows_match(values, _simplex_gauges(B, Y))
+        _assert_rows_match(ll.gauge_rows(B, Y), values)
+        assert B.polar_vertices is not None and built == 1
+        assert vertex + simplex == len(Y)
+        vertex_rows += vertex
+    assert vertex_rows >= 0.95 * 12 * 40
+
+
+@pytest.mark.parametrize("gens", [
+    ((1.0, 0.5), (1.0, 0.5), (0.2, 1.0), (0.2, 1.0), (0.7, 0.7), (0.35, 0.35)),
+    ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)),
+    ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0),
+     (0.5, 0.5, 0.5), (1.0, 1.0, 1.0)),
+    np.round(np.random.default_rng(0).random((40, 4)) * 4) / 4 + 0.25,
+])
+def test_gauge_rows_on_degenerate_polars(gens):
+    """Duplicate generators, and polars where more than d facets meet at a
+    vertex (on the grid body, qhull's triangulation gives some of them
+    singular bases): the argmax basis may fail the certificate, never the
+    value."""
+    B = ll.SolidConvexBody(gens)
+    assert B.polar_vertices is not None
+    rng = np.random.default_rng(31)
+    Y = np.vstack([rng.standard_normal((60, B.dim)), np.eye(B.dim), np.ones(B.dim), B.gen_matrix])
+    got = ll.gauge_rows(B, Y)
+    _assert_rows_match(got, _simplex_gauges(B, Y))
+    if len(B.gen_matrix) <= 8:
+        for a, g in zip(np.abs(Y), got):
+            assert abs(g - _enumerated_gauge(B.gen_matrix, a)) <= 1e-12 * g
+
+
+def test_gauge_rows_without_a_vertex_set_take_the_simplex():
+    rng = np.random.default_rng(41)
+    for d in (1, 5):
+        B = ll.SolidConvexBody(rng.random((7, d)) + 0.1)
+        Y = rng.standard_normal((9, d))
+        values, _, work = _gauge_stack(B, np.abs(Y))
+        assert B.polar_vertices is None and work == (0, 9, 0)
+        _assert_rows_match(values, _simplex_gauges(B, Y))
+    B = ll.SolidConvexBody(((1.0, 0.0, 0.5), (0.5, 0.0, 1.0)))   # a zero column
+    assert B.polar_vertices is None
+    got = ll.gauge_rows(B, [[1.0, 0.0, 0.5], [0.0, 1e-9, 0.0], [1.0, 2.0, 0.0]])
+    assert got[0] == pytest.approx(1.0, rel=1e-12) and got[1] == got[2] == math.inf
+
+
+def test_gauge_rows_of_a_zero_row_is_zero():
+    B = ll.SolidConvexBody(((1.0, 0.5, 0.2), (0.2, 1.0, 0.7), (0.3, 0.3, 1.0)))
+    assert B.polar_vertices is not None
+    got = ll.gauge_rows(B, [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [0.3, -0.4, 0.5]])
+    assert got[0] == got[1] == 0.0 and got[2] > 0
+    assert ll.gauge(B, [0.0, 0.0, 0.0]) == 0.0
+    assert np.array_equal(ll.gauge_norming(B, [0.0, 0.0, 0.0]), np.zeros(3))
+
+
+def test_gauge_rows_reject_a_bad_stack():
+    B = ll.SolidConvexBody(((1.0, 0.5), (0.2, 1.0)))
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], [[1.0, math.nan]]):
+        with pytest.raises(ValueError):
+            ll.gauge_rows(B, bad)
+
+
+def test_a_missing_optimal_vertex_falls_back_to_the_simplex():
+    """Without its optimal vertex the argmax is another vertex: the
+    certificate must reject it, and the row comes back from the simplex."""
+    rng = np.random.default_rng(51)
+    for d in (2, 3, 4):
+        G = rng.random((30, d)) + 0.05
+        a = rng.random(d) + 0.1
+        P = ll.SolidConvexBody(G).polar_vertices
+        reach = P.z @ a
+        keep = reach < reach.max() * (1 - 1e-9)
+        B = ll.SolidConvexBody(G)
+        B.__dict__["polar_vertices"] = type(P)(*(f[keep] for f in P))
+        values, Z, work = _gauge_stack(B, a[None])
+        assert work == (0, 1, 0)
+        assert values[0] == pytest.approx(reach.max(), rel=1e-12)
+        assert values[0] == pytest.approx(_simplex_gauges(B, [a])[0], rel=1e-12)
+        assert (G @ Z[0]).max() <= 1 + 1e-12
+
+
+def _acc8_families(seed, count=30):
+    """Bodies and families shaped like acceptance 08: a C body of an l_2
+    operator and signed, tau-weighted generator families on it."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    tau, sigma = ll.SymmetricSeqNorm(float(rng.choice([1.5, 2.0, 3.0]))), \
+        ll.SymmetricSeqNorm(float(rng.choice([1.5, 2.0, math.inf])))
+    T = ll.LinOperator(rng.standard_normal((m, n)), lp_lattice(n, 2.0), lp_lattice(m, 2.0))
+    body = ll.build_C_body(T, tau, sigma, budget=400, seed=seed)
+    gens = body.gen_matrix
+    fams = []
+    for _ in range(count):
+        k = int(rng.integers(1, 5))
+        c = _tau_weights(tau, k, rng)
+        picks = rng.integers(0, len(gens), size=k)
+        fams.append(rng.choice([-1.0, 1.0], size=(k, m)) * c[:, None] * gens[picks])
+    return body, tau, sigma, fams
+
+
+def test_probe_scales_match_gauging_every_member_on_the_trial_body():
+    probed = skips = solves = 0
+    for seed in range(5):
+        body, tau, sigma, fams = _acc8_families(seed)
+        G = body.gen_matrix
+        for fam in fams:
+            sv = ll.sigma_apply(sigma, fam)
+            values, Z, _ = _gauge_stack(body, np.abs(np.vstack([fam, sv])))
+            den = tau(values[:-1])
+            if den <= 1e-12 or values[-1] / den <= 1 + 1e-9:
+                continue
+            A, g = np.abs(fam), np.abs(sv)
+            ts, skipped, solved = _probe_scales(G, A, values[:-1], Z[:-1], g, den, tau)
+            want, t = [], den
+            for _ in range(60):
+                trial = np.vstack([G, g / t])
+                t_next = tau([a @ _gauge_lp(trial, a) for a in A])
+                stalled = t_next >= t * (1 - 1e-10)
+                t = t_next
+                want.append(t)
+                if stalled:
+                    break
+            assert len(ts) == len(want)
+            assert np.all(np.abs(np.array(ts) - want) <= 1e-12 * np.array(want)), (ts, want)
+            assert skipped + solved == len(ts) * len(A)
+            probed += 1
+            skips += skipped
+            solves += solved
+    assert probed >= 20 and skips > 0 and solves > 0
+
+
 def test_generators_of_minimal_factorization_bodies_have_gauge_at_most_one():
     rng = np.random.default_rng(7)
     X = lp_lattice(2, 2)
@@ -215,6 +382,34 @@ def test_minimal_factorization_reports_how_the_repair_loop_ended():
             assert repair["rounds"] >= 3
         if repair["exit"] == "converged":
             assert reports[0]["norm_checks"]["convexity_ratio_max"] <= 1 + 1e-6
+        assert canonical_json(reports[0]) == canonical_json(reports[1])
+
+
+def test_minimal_factorization_reports_its_gauge_work(monkeypatch):
+    """The report's gauge block counts the rows each path served; its
+    simplex rows are every _gauge_lp call the build made."""
+    import latticelab.convexgeom as cg
+
+    calls = []
+
+    def counted(G, a):
+        calls.append(len(G))
+        return _gauge_lp(G, a)
+
+    monkeypatch.setattr(cg, "_gauge_lp", counted)
+    rng = np.random.default_rng(9)
+    X3 = lp_lattice(3, 2)
+    for i in range(3):
+        T = ll.LinOperator(rng.standard_normal((3, 3)), X3, X3)
+        calls.clear()
+        reports = [ll.build_minimal_factorization(T, ll.SymmetricSeqNorm(1.5), ll.SymmetricSeqNorm(1.5),
+                                                  budget=100, seed=i, check_families=20).report
+                   for _ in range(2)]
+        work = reports[0]["gauge"]
+        assert tuple(sorted(work)) == tuple(sorted(_GAUGE_WORK))
+        assert all(isinstance(n, int) and n >= 0 for n in work.values())
+        assert work["vertex_rows"] > 0 and work["vertex_sets"] >= 1
+        assert 2 * work["simplex_rows"] == len(calls)
         assert canonical_json(reports[0]) == canonical_json(reports[1])
 
 
