@@ -468,18 +468,44 @@ def _append_raw(body: SolidConvexBody, extra) -> SolidConvexBody:
 
 
 def _column_options(sigma_p: float, grid: int):
-    """(c_1, c_2) pairs with sigma-norm <= 1 per column, both signs."""
+    """(c_1, c_2) pairs with sigma-norm <= 1 per column, both signs, sorted.
+
+    The list is closed under the three maps behind :func:`_option_orbits`:
+    negating c_1, negating c_2, and swapping the two.  Signs close it because
+    each magnitude pair appears with all four; the swap closes it because c_2
+    takes its magnitudes from the t grid reversed, so (c_1, c_2) at t is
+    (c_2, c_1) at 1 - t (on ``linspace(0, 1, 9)`` the reversed grid is 1 - t
+    exactly)."""
     opts = []
     if sigma_p == math.inf:
         mags = [(1.0, 1.0)]
     else:
         ts = np.linspace(0.0, 1.0, grid)
-        mags = [(t ** (1.0 / sigma_p), (1.0 - t) ** (1.0 / sigma_p)) for t in ts]
+        mags = [(t ** (1.0 / sigma_p), r ** (1.0 / sigma_p)) for t, r in zip(ts, ts[::-1])]
     for m1, m2 in mags:
         for s1 in (1.0, -1.0):
             for s2 in (1.0, -1.0):
                 opts.append((s1 * m1, s2 * m2))
     return sorted(set(opts))
+
+
+def _option_orbits(opts: np.ndarray) -> tuple:
+    """Orbit tables of the (K, 2) column options under the group of 8 maps
+    generated by negating c_1, negating c_2 and swapping the two.
+
+    Returns ``perms``, an (8, K) array whose row g sends option k to the index
+    of its image under map g (row 0 is the identity), and ``reps``, the indices
+    of the options with 0 <= c_1 <= c_2, which meet every orbit.  Images are
+    found by dict lookup, where -0.0 and 0.0 key alike; an option list not
+    closed under the maps raises KeyError."""
+    pairs = list(map(tuple, opts.tolist()))
+    where = {o: k for k, o in enumerate(pairs)}
+    neg1 = np.array([where[(-c1, c2)] for c1, c2 in pairs])
+    neg2 = np.array([where[(c1, -c2)] for c1, c2 in pairs])
+    swap = np.array([where[(c2, c1)] for c1, c2 in pairs])
+    signs = np.array([np.arange(len(pairs)), neg1, neg2, neg1[neg2]])
+    reps = np.flatnonzero((opts[:, 0] >= 0) & (opts[:, 0] <= opts[:, 1]))
+    return np.vstack([signs, swap[signs]]), reps
 
 
 def _signs(k: int) -> np.ndarray:
@@ -506,20 +532,35 @@ def _best_decomposition(T: LinOperator, u: np.ndarray, tau, C: np.ndarray) -> tu
 
 
 def _best_grid_decomposition(T: LinOperator, u: np.ndarray, tau, opts: np.ndarray) -> tuple:
-    """The two-part decompositions whose column j is one row of the (K, 2)
-    option array ``opts`` times u_j, all K^n of them, rows in np.indices order.
-    The images of the column options are formed once per coordinate and
-    summed by broadcasting; returns the value and the (2, n) parts of the
-    first maximizer."""
+    """The best of the two-part decompositions whose column j is one row of the
+    (K, 2) option array ``opts`` times u_j: all K^n of them, rows in
+    np.indices order.  Returns the value and the (2, n) parts of the first
+    maximizer in that order, the row np.argmax picks on the full grid.
+
+    Only an orbit quotient is scored.  Negating either part in every
+    coordinate, or swapping the parts, maps a grid row to one of the same
+    value, bit for bit: IEEE negation is exact, every norm kind is evaluated
+    on |x|, and the two-term tau sum commutes.  Every orbit of these 8 maps
+    (:func:`_option_orbits`) holds a row whose coordinate-0 option has
+    0 <= c_1 <= c_2, so only those rows are scored (5 of 32 options at grid
+    9, 1 of 4 when sigma = inf).  The full grid's maximizers are the orbits
+    of the scored rows that tie the maximum; the first of them is the least
+    full-grid index over those orbits.  The images of the column options are
+    formed once per coordinate and summed by broadcasting."""
     K, n = len(opts), u.shape[0]
+    perms, reps = _option_orbits(opts)
     images = np.zeros((1, 2, T.codomain.dim))
     for j in range(n):
-        col = (opts * u[j])[:, :, None] * T.matrix[:, j]
+        col = ((opts[reps] if j == 0 else opts) * u[j])[:, :, None] * T.matrix[:, j]
         images = (images[:, None] + col[None]).reshape(-1, 2, T.codomain.dim)
     vals = _decomposition_values(T, tau, images)
-    k = int(np.argmax(vals))
-    pick = np.unravel_index(k, (K,) * n)
-    return float(vals[k]), opts[list(pick)].T * u
+    top = vals[int(np.argmax(vals))]
+    tied = np.flatnonzero(np.isnan(vals) if np.isnan(top) else vals == top)
+    rows = np.array(np.unravel_index(tied, (len(reps),) + (K,) * (n - 1)))
+    rows[0] = reps[rows[0]]
+    first = np.ravel_multi_index(tuple(perms[:, rows].transpose(1, 0, 2)), (K,) * n).min()
+    pick = np.unravel_index(first, (K,) * n)
+    return float(top), opts[list(pick)].T * u
 
 
 def _d_search(T: LinOperator, u: np.ndarray, tau, sigma, budget: int, seed: int) -> tuple:
@@ -581,12 +622,17 @@ def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: Symmetri
     decomposition with value > 1 was found (one-sided).
 
     Each stage scores its candidates as one stack: the no-split sign vertices;
-    for n <= 3 the two-part split grid, whose column images are formed once per
-    coordinate and summed by broadcasting; for sigma = inf the +-1 vertices of
-    2-4 parts; max(16, budget // 8) random decompositions, drawn as one block
-    per part count m in 1..4; then a hill-climb polish of the best one.  No
-    multiplier depends on |u|, so the search is positively homogeneous: rho
-    at s u is s times rho at u, which :func:`verify_polarity` relies on."""
+    for n <= 3 the two-part split grid (:func:`_best_grid_decomposition`),
+    whose column images are formed once per coordinate and summed by
+    broadcasting; for sigma = inf the +-1 vertices of 2-4 parts;
+    max(16, budget // 8) random decompositions, drawn as one block per part
+    count m in 1..4; then a hill-climb polish of the best one.  The split grid
+    scores one row or a few per orbit of part negations and the part swap
+    (5,120 of its 32,768 rows at n = 3), all of the same value, and returns
+    the first maximizer of the full grid, so the search's result is the one
+    the full grid gives.  No multiplier depends on |u|, so the search is
+    positively homogeneous: rho at s u is s times rho at u, which
+    :func:`verify_polarity` relies on."""
     u = as_vector(u)
     if u.shape[0] != T.domain.dim:
         raise ValueError("dimension mismatch")

@@ -17,14 +17,17 @@ from latticelab.convexgeom import (
     _best_grid_decomposition,
     _column_options,
     _d_search,
+    _decomposition_values,
     _gauge_lp,
     _gauge_stack,
+    _option_orbits,
     _probe_scales,
     _prune_generators,
     _signs,
     _sphere_points,
     _tau_weights,
 )
+from test_core import PROTOCOL_LATTICES
 
 L1 = ll.SymmetricSeqNorm(1)
 L2 = ll.SymmetricSeqNorm(2)
@@ -649,6 +652,97 @@ def test_grid_decomposition_matches_gathered_stack():
         ratio = np.divide(np.abs(parts), np.abs(u), out=np.zeros_like(parts), where=u != 0)
         assert np.all(np.abs(parts[:, u == 0]) == 0)
         assert np.all(lp_norm(ratio, sigma_p, axis=0) <= 1 + 1e-12)
+
+
+def _full_grid_decomposition(T, u, tau, opts):
+    """The split grid as it was before the orbit quotient: every one of the
+    K^n rows scored, the first maximizer taken by np.argmax."""
+    K, n = len(opts), u.shape[0]
+    images = np.zeros((1, 2, T.codomain.dim))
+    for j in range(n):
+        col = (opts * u[j])[:, :, None] * T.matrix[:, j]
+        images = (images[:, None] + col[None]).reshape(-1, 2, T.codomain.dim)
+    vals = _decomposition_values(T, tau, images)
+    k = int(np.argmax(vals))
+    pick = np.unravel_index(k, (K,) * n)
+    return float(vals[k]), opts[list(pick)].T * u
+
+
+@pytest.mark.parametrize("name", list(PROTOCOL_LATTICES))
+def test_grid_quotient_is_bit_identical_to_the_full_grid(name):
+    # every codomain kind, n = 1..3, every tau/sigma pair, and u with random,
+    # zero and equal entries (the last two make ties across orbits).  Kinds
+    # that evaluate row by row are too slow for the 32^3-row reference, so at
+    # n = 3 they run every seventh pair on the 20-option grid of 5 points
+    X = PROTOCOL_LATTICES[name]
+    rowwise = type(X.norm).eval_rows is ll.NormSpec.eval_rows
+    rng = np.random.default_rng(53)
+    pairs = [(t, s) for t in (1.0, 1.5, 2.0, math.inf) for s in (1.0, 1.5, 2.0, 3.0, math.inf)]
+    for n in (1, 2, 3):
+        for i, (tau_p, sigma_p) in enumerate(pairs):
+            if n == 3 and rowwise and i % 7:
+                continue
+            T = ll.LinOperator(rng.standard_normal((X.dim, n)), lp_lattice(n, 2), X)
+            tau = ll.SymmetricSeqNorm(tau_p)
+            opts = np.array(_column_options(sigma_p, 5 if n == 3 and rowwise else 9))
+            u = rng.standard_normal(n)
+            if i % 3 == 1:
+                u[i % n] = 0.0
+            elif i % 3 == 2:
+                u[:] = -0.7
+            want_val, want_parts = _full_grid_decomposition(T, u, tau, opts)
+            val, parts = _best_grid_decomposition(T, u, tau, opts)
+            assert val == want_val
+            assert np.array_equal(parts, want_parts)
+            assert np.array_equal(np.signbit(parts), np.signbit(want_parts))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow encountered")
+def test_grid_quotient_keeps_the_first_nan_row():
+    # images past the float range sum inf and -inf to nan; np.argmax picks the
+    # first nan row of the full grid, and so must the quotient
+    T = ll.LinOperator(np.array([[10.0, -10.0]]), lp_lattice(2, 2), lp_lattice(1, 2))
+    u = np.array([1e308, 1e308])
+    opts = np.array(_column_options(2.0, 9))
+    want_val, want_parts = _full_grid_decomposition(T, u, L2, opts)
+    val, parts = _best_grid_decomposition(T, u, L2, opts)
+    assert math.isnan(want_val) and math.isnan(val)
+    assert np.array_equal(parts, want_parts)
+    assert np.array_equal(np.signbit(parts), np.signbit(want_parts))
+
+
+@pytest.mark.parametrize("sigma_p", [1.0, 1.1, 1.5, 2.0, 3.0, 7.5, math.inf])
+def test_option_orbits_close_and_representatives_meet_every_orbit(sigma_p):
+    opts = np.array(_column_options(sigma_p, 9))
+    K = len(opts)
+    perms, reps = _option_orbits(opts)
+    assert perms.shape == (8, K)
+    assert np.array_equal(perms[0], np.arange(K))
+    # each row permutes the option list, and the rows are the sign flips of
+    # either part with and without the swap (== ignores the sign of zero, as
+    # the dict lookups do)
+    assert all(sorted(g) == list(range(K)) for g in perms)
+    for s1 in (1.0, -1.0):
+        for s2 in (1.0, -1.0):
+            flipped = np.column_stack([s1 * opts[:, 0], s2 * opts[:, 1]])
+            for want in (flipped, flipped[:, ::-1]):
+                assert any(np.array_equal(opts[g], want) for g in perms)
+    assert np.all((opts[reps, 0] >= 0) & (opts[reps, 0] <= opts[reps, 1]))
+    assert len(reps) == (1 if sigma_p == math.inf else 5)
+    assert all(np.isin(perms[:, k], reps).any() for k in range(K))
+
+
+@pytest.mark.parametrize("tau_p,sigma_p", [(2.0, 2.0), (1.5, 1.0), (2.0, math.inf), (1.0, 3.0)])
+def test_polarity_reports_match_the_full_grid(monkeypatch, tau_p, sigma_p):
+    import latticelab.convexgeom as cg
+
+    T = ll.LinOperator(np.random.default_rng(61).standard_normal((3, 3)),
+                       lp_lattice(3, 2), lp_lattice(3, 2))
+    tau, sigma = ll.SymmetricSeqNorm(tau_p), ll.SymmetricSeqNorm(sigma_p)
+    rep = ll.verify_polarity(T, tau, sigma, sample_count=2000, seed=4)
+    monkeypatch.setattr(cg, "_best_grid_decomposition", _full_grid_decomposition)
+    want = ll.verify_polarity(T, tau, sigma, sample_count=2000, seed=4)
+    assert canonical_json(rep) == canonical_json(want)
 
 
 def test_random_stage_witnesses_are_admissible():
