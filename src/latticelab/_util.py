@@ -3,8 +3,9 @@ and canonical JSON output.
 
 Everything randomized in this package flows through :func:`rng_for`, which
 hashes an explicit user seed together with string tags into an independent
-stream per task; every searched lower bound climbs with :func:`hill_climb`;
-every named verdict reads its tolerance from :data:`TOLERANCES`.
+stream per task; every searched lower bound climbs with :func:`hill_climb`,
+or with :func:`climb_lockstep`, its exact replay of many climbs as one stack
+per step; every named verdict reads its tolerance from :data:`TOLERANCES`.
 Reports are serialized by :func:`canonical_json` with sorted
 keys and 17-significant-digit floats so identical runs are byte-identical.
 """
@@ -43,32 +44,54 @@ def rng_for(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *tags))
 
 
+# The step schedule of both climbers: the first step, its factor per proposal, its floor.
+STEP0, STEP_DECAY, STEP_FLOOR = 0.5, 0.99, 0.02
+
+
 def hill_climb(score, x0, rng, iters, project=None, stop=math.inf):
     """Seeded perturbation ascent, the one search loop behind every searched
     lower bound.  Each of at most ``iters`` proposals is
     ``project(x + step * N(0, I))`` and replaces x only if it scores strictly
-    higher; the step starts at 0.5 and shrinks by 0.99 per proposal, never
-    below 0.02.  A ValueError from ``score`` rejects the proposal (an
-    inadmissible start scores -inf and is returned as is), and the climb ends
-    once the score exceeds ``stop``.  Returns (point, score)."""
+    higher.  A ValueError from ``score`` rejects the proposal (an inadmissible
+    start scores -inf and is returned as is, with nothing drawn), and the
+    climb ends once the score exceeds ``stop``.  Returns (point, score).
+    :func:`climb_lockstep` replays many climbs without ``stop`` at once."""
     try:
         best = score(x0)
     except ValueError:
         return x0, -math.inf
-    x, step = x0, 0.5
+    x, step = x0, STEP0
     for _ in range(iters):
         if best > stop:
             break
         prop = x + step * rng.standard_normal(x.shape)
         if project is not None:
             prop = project(prop)
-        step = max(0.02, step * 0.99)
+        step = max(STEP_FLOOR, step * STEP_DECAY)
         try:
             val = score(prop)
         except ValueError:
             continue
         if val > best:
             x, best = prop, val
+    return x, best
+
+
+def climb_lockstep(score, x0, best, masks, noise):
+    """Independent hill climbs stepped together: climb b from x0[b], of score
+    best[b], proposes ``masks[b] * (x[b] + step * noise[t, b])``, and ``score``
+    maps the stack of proposals to scores (-inf if inadmissible).  Without
+    ``stop`` a hill climb draws ``iters`` normals of its shape whatever it
+    accepts, so with those draws as noise[:, b] (``standard_normal((iters,) +
+    shape)`` makes them in one call) each climb replays hill_climb projected
+    by its mask exactly.  Returns (points, scores)."""
+    x, best, step = x0.copy(), np.array(best, dtype=float), STEP0
+    for z in noise:
+        prop = masks * (x + step * z)
+        step = max(STEP_FLOOR, step * STEP_DECAY)
+        val = score(prop)
+        up = val > best
+        x[up], best[up] = prop[up], val[up]
     return x, best
 
 

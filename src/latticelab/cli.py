@@ -253,8 +253,8 @@ def _cmd_norm_eval(args, cfg):
 def _cmd_norm_dual(args, cfg):
     X = load_lattice(args.lattice)
     b = _vector(args, "--b", X.dim)
-    est = eval_dual_norm(X, b, budget=cfg.budget, seed=cfg.seed)
-    return {"lattice": lattice_to_dict(X), "b": b.tolist(), "estimate": est.as_dict()}, 0
+    est = {k: v for k, v in eval_dual_norm(X, b).as_dict().items() if k not in ("budget", "seed")}
+    return {"lattice": lattice_to_dict(X), "b": b.tolist(), "estimate": est}, 0
 
 
 def _cmd_lorentz_rearrange(args, cfg):

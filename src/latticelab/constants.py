@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import TOLERANCES, conjugate, hill_climb, inv, lp_norm, rng_for
+from ._util import _TINY, TOLERANCES, climb_lockstep, conjugate, inv, lp_norm, rng_for
 from .core import (
     AtomicMeasure,
     BlockLorentz,
@@ -24,7 +24,6 @@ from .core import (
     NormedLattice,
     SymmetricSeqNorm,
     WeightedLorentzPInfty,
-    as_vector,
     eval_norm,
     sigma_dual,
 )
@@ -103,57 +102,151 @@ def _family(T: LinOperator, family) -> np.ndarray:
     return mat
 
 
-def _check_disjoint(mat: np.ndarray):
-    support = (mat != 0).astype(int)
-    if np.any(support.sum(axis=0) > 1):
-        raise ValueError("estimate kinds require pairwise disjoint supports")
+def _kind_params(kind) -> tuple:
+    """(convex, tau, sigma); an upper (lower) estimate has sigma = inf (sigma = 1)."""
+    if isinstance(kind, (Convex, UpperEstimate)):
+        return True, kind.p, getattr(kind, "p2", math.inf)
+    if isinstance(kind, (Concave, LowerEstimate)):
+        return False, kind.q, getattr(kind, "q2", 1.0)
+    raise TypeError(f"unknown constant kind {kind!r}")
 
 
-def _convexity(T, tau, sigma, mat) -> float:
-    den = tau(T.domain.norm.eval_rows(mat))
-    if den <= 0:
-        raise ValueError("zero family")
-    sv = lp_norm(mat @ T.matrix.T, sigma.p, axis=0)
-    return float(T.codomain.norm.eval_rows(sv[None])[0]) / den
+def _stack(mats) -> tuple:
+    """(stack, groups): family b atop zero rows in stack[b]; (indices, m) per length m."""
+    counts = np.array([len(mat) for mat in mats])
+    stack = np.zeros((len(mats), counts.max(), *mats[0].shape[1:]))
+    for b, mat in enumerate(mats):
+        stack[b, :len(mat)] = mat
+    return stack, [(np.flatnonzero(counts == m), m) for m in sorted(set(counts.tolist()))]
 
 
-def _concavity(T, tau, sigma, mat) -> float:
-    den = float(T.domain.norm.eval_rows(lp_norm(mat, sigma.p, axis=0)[None])[0])
-    if den <= 0:
-        raise ValueError("zero family")
-    return tau(T.codomain.norm.eval_rows(mat @ T.matrix.T)) / den
+def _tau_rows(v: np.ndarray, p: float) -> np.ndarray:
+    """Each row's one-vector ``lp_norm``, root by scalar pow (array pow may differ by an ulp)."""
+    if p == math.inf or p == 1:
+        return lp_norm(v, p, axis=1)
+    return np.array([s ** (1.0 / p) if _TINY <= s < math.inf else float(lp_norm(v[i], p))
+                     for i, s in enumerate((v ** p).sum(axis=1).tolist())])
+
+
+def _ratios(T: LinOperator, params, stack: np.ndarray, groups) -> np.ndarray:
+    """The ratio of each family of a :func:`_stack`, bit for bit the float of
+    the one-family ratio, or -inf where its denominator is <= 0.  Finiteness
+    and supports are checked at the boundary (``_family``, ``ratio``); the
+    searches draw finite starts and steps.  Sums over a family run over its m
+    rows alone (numpy's pairwise sum rounds zero-padded rows otherwise), and a
+    (k, m, n) @ (n, n') product makes one family's BLAS call per family."""
+    convex, tau, sigma = params
+    fams = [stack[idx, :m] for idx, m in groups]
+    imgs = [fam @ T.matrix.T for fam in fams]
+    rows, norm = (fams, T.domain.norm) if convex else (imgs, T.codomain.norm)
+    row_norms = norm.eval_rows(np.concatenate([r.reshape(-1, r.shape[2]) for r in rows]))
+    taus, at = np.empty(len(stack)), 0
+    sig = np.empty((len(stack), (T.codomain if convex else T.domain).dim))
+    for (idx, m), fam, img in zip(groups, fams, imgs):
+        taus[idx] = _tau_rows(row_norms[at:at + len(fam) * m].reshape(-1, m), tau)
+        at += len(fam) * m
+        sig[idx] = lp_norm(img if convex else fam, sigma, axis=1)
+    num, den = (T.codomain.norm.eval_rows(sig), taus) if convex else (taus, T.domain.norm.eval_rows(sig))
+    return np.divide(num, den, out=np.full(len(den), -math.inf), where=~(den <= 0))
+
+
+def _max_ratio(T: LinOperator, params, fams) -> float:
+    """max(0, each family's ratio) in one stacked call; an inadmissible family scores -inf."""
+    return max([0.0, *_ratios(T, params, *_stack(fams)).tolist()])
+
+
+def _score(T: LinOperator, params, mat: np.ndarray, inadmissible=None) -> float:
+    """One family's ratio; where it is inadmissible, -inf or ValueError(inadmissible)."""
+    val = float(_ratios(T, params, mat[None], [(slice(None), len(mat))])[0])
+    if val == -math.inf and inadmissible:
+        raise ValueError(inadmissible)
+    return val
 
 
 def generalized_convexity_ratio(T: LinOperator, tau: SymmetricSeqNorm,
                                 sigma: SymmetricSeqNorm, family) -> float:
     """||sigma(|Tx_1|,...,|Tx_m|)||_codomain / tau(||x_1||,...,||x_m||), with the
-    family checked once as one (m, n) array, the m member norms in one ``eval_rows``
-    call, the images in one ``mat @ T.matrix.T`` and one norm of the sigma-vector."""
-    return _convexity(T, tau, sigma, _family(T, family))
+    family checked once as one (m, n) array and scored as a stack of one."""
+    return _score(T, (True, tau.p, sigma.p), _family(T, family), "zero family")
 
 
 def generalized_concavity_ratio(T: LinOperator, tau: SymmetricSeqNorm,
                                 sigma: SymmetricSeqNorm, family) -> float:
     """tau(||Tx_1||,...,||Tx_m||) / ||sigma(|x_1|,...,|x_m|)||_domain, with
-    the family checked once and the m image norms in one ``eval_rows`` call."""
-    return _concavity(T, tau, sigma, _family(T, family))
+    the family checked once and scored as a stack of one."""
+    return _score(T, (False, tau.p, sigma.p), _family(T, family), "zero family")
 
 
 def ratio(T: LinOperator, kind, family) -> float:
     """Exact ratio for one family: a certified lower bound for the constant.
     The family (and for an estimate kind, the disjointness of its supports) is
-    checked once, then scored by the stacked generalized ratio; an upper
-    (lower) estimate is its sigma = inf (sigma = 1) case."""
-    if isinstance(kind, (Convex, UpperEstimate)):
-        score, tau, sigma = _convexity, kind.p, getattr(kind, "p2", math.inf)
-    elif isinstance(kind, (Concave, LowerEstimate)):
-        score, tau, sigma = _concavity, kind.q, getattr(kind, "q2", 1.0)
-    else:
-        raise TypeError(f"unknown constant kind {kind!r}")
+    checked once, then scored by the stacked generalized ratio."""
+    params = _kind_params(kind)
     mat = _family(T, family)
-    if isinstance(kind, (UpperEstimate, LowerEstimate)):
-        _check_disjoint(mat)
-    return score(T, SymmetricSeqNorm(tau), SymmetricSeqNorm(sigma), mat)
+    if isinstance(kind, (UpperEstimate, LowerEstimate)) and np.any((mat != 0).sum(axis=0) > 1):
+        raise ValueError("estimate kinds require pairwise disjoint supports")
+    return _score(T, params, mat, "zero family")
+
+
+# Consecutive climbs step as a group while its padded noise fits in this many bytes.
+NOISE_BYTES = 1 << 18
+
+
+def _climbs(T: LinOperator, params, rng, iters: int, starts) -> list:
+    """(x, score) of each start's climb: the draws and results of
+    :func:`hill_climb` on one start after another, projected by the mask.
+    ``starts`` yields (x0, mask, score of x0) lazily, after the previous
+    climb's noise, one (iters, m, n) block (none for a -inf start, returned
+    as is).  Groups of climbs step together, one stacked ratio call a step."""
+    out, group, rows = [], [], 0
+
+    def run():
+        if group:
+            x0s, masks, vals, noise, at = zip(*group)
+            X0, groups = _stack(x0s)
+            Z = _stack([z.swapaxes(0, 1) for z in noise])[0].transpose(2, 0, 1, 3)
+            X, best = climb_lockstep(lambda P: _ratios(T, params, P, groups), X0, vals,
+                                     _stack(masks)[0], Z)
+            for b, i in enumerate(at):
+                out[i] = (X[b, :len(x0s[b])], float(best[b]))
+            group.clear()
+
+    for x0, mask, val in starts:
+        out.append((x0, val))
+        if val == -math.inf:
+            continue
+        m, n = x0.shape
+        if group and iters * (len(group) + 1) * max(rows, m) * n * 8 > NOISE_BYTES:
+            run()
+            rows = 0
+        rows = max(rows, m)
+        group.append((x0, mask, val, rng.standard_normal((iters, m, n)), len(out) - 1))
+    run()
+    return out
+
+
+def _random_starts(T: LinOperator, params, rng, count: int, disjoint: bool):
+    """``count`` random starts of 1 to 2n members (on a partition's <= n parts if ``disjoint``)."""
+    n = T.domain.dim
+    for _ in range(count):
+        m = int(rng.integers(1, 2 * n + 1))
+        if disjoint:
+            m = min(m, n)
+            perm = rng.permutation(n)
+            cuts = sorted(rng.choice(np.arange(1, n), size=m - 1, replace=False).tolist()) if m > 1 else []
+            mask = np.zeros((m, n))
+            for i, part in enumerate(np.split(perm, cuts)):
+                mask[i, part] = 1.0
+            mat0 = mask * rng.standard_normal((m, n))
+        else:
+            mat0 = rng.standard_normal((m, n))
+            mask = np.ones((m, n))
+        yield mat0, mask, _score(T, params, mat0)
+
+
+def _best(climbs) -> tuple:
+    """(score, family) of the first climb of highest score."""
+    return max([(-math.inf, None), *((val, x) for x, val in climbs)], key=lambda t: t[0])
 
 
 def set_partitions(items) -> Iterator[list]:
@@ -184,7 +277,7 @@ def _is_identity_lp(T: LinOperator) -> Optional[float]:
 def _exact_identity_estimate(T, kind, budget, seed) -> Optional[ConstantEstimate]:
     """Closed-form extremals for estimate kinds on the identity of l_u^n:
     equal mass on k singleton parts gives k^{1/u-1/p} (upper) or k^{1/q-1/u}
-    (lower); the power-mean inequality shows no partition does better."""
+    (lower); at every n the power-mean inequality shows no partition does better."""
     u = _is_identity_lp(T)
     if u is None or not isinstance(kind, (UpperEstimate, LowerEstimate)):
         return None
@@ -200,40 +293,15 @@ def _exact_identity_estimate(T, kind, budget, seed) -> Optional[ConstantEstimate
         witness = [t * row for row in np.eye(n)]
     else:
         witness = [np.eye(n)[0]]
-    side = "exact" if n <= 10 else "lower"
-    return ConstantEstimate(value, side, witness, budget, seed)
+    return ConstantEstimate(value, "exact", witness, budget, seed)
 
 
 def _random_family_search(T, kind, budget, seed) -> tuple:
-    n = T.domain.dim
-    rng = rng_for(seed, "const-random", n)
-    estimate_kind = isinstance(kind, (UpperEstimate, LowerEstimate))
-
-    def score(mat):
-        return ratio(T, kind, mat)
-
-    best_val, best_fam = -math.inf, None
+    rng = rng_for(seed, "const-random", T.domain.dim)
+    params = _kind_params(kind)
     n_starts = max(4, min(24, budget // 250))
-    lengths = list(range(1, 2 * n + 1))
-    for s in range(n_starts):
-        m = lengths[int(rng.integers(0, len(lengths)))]
-        if estimate_kind:
-            m = min(m, n)
-            perm = rng.permutation(n)
-            cuts = sorted(rng.choice(np.arange(1, n), size=m - 1, replace=False).tolist()) if m > 1 else []
-            parts = np.split(perm, cuts)
-            mask = np.zeros((m, n))
-            for i, part in enumerate(parts):
-                mask[i, part] = 1.0
-            mat0 = mask * rng.standard_normal((m, n))
-            project = mask.__mul__
-        else:
-            mat0 = rng.standard_normal((m, n))
-            project = None
-        mat, val = hill_climb(score, mat0, rng, max(20, budget // (4 * n_starts)), project)
-        if val > best_val:
-            best_val, best_fam = val, mat
-    return best_val, best_fam
+    starts = _random_starts(T, params, rng, n_starts, isinstance(kind, (UpperEstimate, LowerEstimate)))
+    return _best(_climbs(T, params, rng, max(20, budget // (4 * n_starts)), starts))
 
 
 def _partition_search(T, kind, budget, seed) -> tuple:
@@ -241,10 +309,6 @@ def _partition_search(T, kind, budget, seed) -> tuple:
     dim <= 8, structured plus sampled for dim 9-10)."""
     n = T.domain.dim
     rng = rng_for(seed, "const-partition", n)
-
-    def score(mat):
-        return ratio(T, kind, mat)
-
     if n <= 8:
         partitions = list(set_partitions(range(n)))
     else:
@@ -255,17 +319,13 @@ def _partition_search(T, kind, budget, seed) -> tuple:
             labels = rng.integers(0, rng.integers(2, n + 1), n)
             parts = [list(np.where(labels == l)[0]) for l in np.unique(labels)]
             partitions.append([p for p in parts if p])
-    best_val, best_fam = -math.inf, None
+    masks = [np.array([np.bincount(part, minlength=n) for part in parts], dtype=float)
+             for parts in partitions]
+    # every start is known before the first climb draws: score them as one stack
+    params = _kind_params(kind)
+    vals = _ratios(T, params, *_stack(masks)).tolist()
     iters = max(10, budget // (2 * max(1, len(partitions))))
-    for parts in partitions:
-        m = len(parts)
-        mask = np.zeros((m, n))
-        for i, part in enumerate(parts):
-            mask[i, part] = 1.0
-        mat, val = hill_climb(score, mask, rng, iters, mask.__mul__)
-        if val > best_val:
-            best_val, best_fam = val, mat
-    return best_val, best_fam
+    return _best(_climbs(T, params, rng, iters, zip(masks, masks, vals)))
 
 
 def estimate_constant(T: LinOperator, kind, budget: int = 10000, seed: int = 0) -> ConstantEstimate:
@@ -274,16 +334,11 @@ def estimate_constant(T: LinOperator, kind, budget: int = 10000, seed: int = 0) 
     if budget < 1:
         raise ValueError("budget must be >= 1")
     exact = _exact_identity_estimate(T, kind, budget, seed)
-    if exact is not None and exact.side == "exact":
-        return exact
-    vals = []
-    v1, f1 = _random_family_search(T, kind, budget, seed)
-    vals.append((v1, f1))
-    if isinstance(kind, (UpperEstimate, LowerEstimate)) and T.domain.dim <= 10:
-        v2, f2 = _partition_search(T, kind, budget, seed)
-        vals.append((v2, f2))
     if exact is not None:
-        vals.append((exact.value, np.stack([as_vector(w) for w in exact.witness])))
+        return exact
+    vals = [_random_family_search(T, kind, budget, seed)]
+    if isinstance(kind, (UpperEstimate, LowerEstimate)) and T.domain.dim <= 10:
+        vals.append(_partition_search(T, kind, budget, seed))
     best_val, best_fam = max(vals, key=lambda t: t[0])
     if best_fam is None or best_val <= 0:
         raise ValueError("search failed to produce a nonzero family")
@@ -332,7 +387,6 @@ def check_q_convexity_bound(X: NormedLattice, q: float, budget: int = 4000, seed
         raise ValueError(f"requires 1 <= q < p, got q={q}, p={p}")
     bound = (p / (p - q)) ** (1.0 / q) * gamma(p)
     est = estimate_constant(identity_operator(X), Convex(q, q), budget, seed)
-    renorm_max = 0.0
     if isinstance(X.norm, WeightedLorentzPInfty):
         measure = X.norm.measure
     else:
@@ -340,13 +394,9 @@ def check_q_convexity_bound(X: NormedLattice, q: float, budget: int = 4000, seed
     Xq = NormedLattice(measure.dim, WeightedLorentzPInfty(p, q, measure))
     Tq = identity_operator(Xq)
     rng = rng_for(seed, "renorm-check", X.dim)
-    for _ in range(100):
-        m = int(rng.integers(1, 2 * measure.dim + 1))
-        fam = rng.standard_normal((m, measure.dim))
-        try:
-            renorm_max = max(renorm_max, ratio(Tq, Convex(q, q), fam))
-        except ValueError:
-            continue
+    fams = [rng.standard_normal((int(rng.integers(1, 2 * measure.dim + 1)), measure.dim))
+            for _ in range(100)]
+    renorm_max = _max_ratio(Tq, (True, q, q), fams)
     report = {
         "p": p,
         "q": q,
@@ -432,38 +482,23 @@ def _sphere_grid(dim: int) -> np.ndarray:
     return pts.reshape(-1, 3)
 
 
-def _oracle_best(score, dim: int) -> float:
+def _oracle_best(T: LinOperator, params) -> float:
     """Exhaustive-grade search over direction-grid families of length <= 3
-    with simplex weight grids; used only as a cross-check oracle."""
+    with simplex weight grids, scored as one stack; used only as a
+    cross-check oracle."""
     from itertools import combinations_with_replacement
 
-    dirs = _sphere_grid(dim)
-    best = 0.0
+    dirs = _sphere_grid(T.domain.dim)
     weights2 = [np.array([t, 1 - t]) for t in np.linspace(0.05, 0.95, 7)]
     weights3 = [np.array([a, b, 1 - a - b])
                 for a in np.linspace(0.1, 0.8, 4) for b in np.linspace(0.1, 0.8, 4)
                 if a + b < 0.95]
-    idx = np.arange(len(dirs))
-    for i in idx:
-        try:
-            best = max(best, score([dirs[i]]))
-        except ValueError:
-            pass
-    pair_idx = list(combinations_with_replacement(range(0, len(dirs), 2), 2))
-    for i, j in pair_idx:
-        for wt in weights2:
-            try:
-                best = max(best, score([wt[0] * dirs[i], wt[1] * dirs[j]]))
-            except ValueError:
-                pass
-    triple_idx = list(combinations_with_replacement(range(0, len(dirs), 4), 3))
-    for i, j, k in triple_idx:
-        for wt in weights3:
-            try:
-                best = max(best, score([wt[0] * dirs[i], wt[1] * dirs[j], wt[2] * dirs[k]]))
-            except ValueError:
-                pass
-    return best
+    fams = [d[None] for d in dirs]
+    fams += [np.stack([wt[0] * dirs[i], wt[1] * dirs[j]])
+             for i, j in combinations_with_replacement(range(0, len(dirs), 2), 2) for wt in weights2]
+    fams += [np.stack([wt[0] * dirs[i], wt[1] * dirs[j], wt[2] * dirs[k]])
+             for i, j, k in combinations_with_replacement(range(0, len(dirs), 4), 3) for wt in weights3]
+    return _max_ratio(T, params, fams)
 
 
 def duality_gap(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
@@ -480,28 +515,18 @@ def duality_gap(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
     A = T.adjoint()
     rng = rng_for(seed, "duality", T.domain.dim, T.codomain.dim)
 
-    def score1(fam):
-        return generalized_convexity_ratio(T, tau, sigma, fam)
+    def search(S, params):
+        n_starts = max(4, min(16, budget // 400))
+        starts = _random_starts(S, params, rng, n_starts, False)
+        return max([0.0, *(val for _, val in _climbs(S, params, rng, max(20, budget // (4 * n_starts)), starts))])
 
-    def score2(fam):
-        return generalized_concavity_ratio(A, tau_d, sigma_d, fam)
-
-    def search(score, dim):
-        best, n_starts = 0.0, max(4, min(16, budget // 400))
-        for _ in range(n_starts):
-            m = int(rng.integers(1, 2 * dim + 1))
-            mat0 = rng.standard_normal((m, dim))
-            _, val = hill_climb(score, mat0, rng, max(20, budget // (4 * n_starts)))
-            best = max(best, val)
-        return best
-
-    L1 = search(score1, T.domain.dim)
-    L2 = search(score2, T.codomain.dim)
+    L1 = search(T, (True, tau.p, sigma.p))
+    L2 = search(A, (False, tau_d.p, sigma_d.p))
     diag = T.matrix.shape[0] == T.matrix.shape[1] and np.allclose(T.matrix, np.diag(np.diag(T.matrix)))
     oracle_used = bool(diag and T.domain.dim <= 3)
     if oracle_used:
-        L1 = max(L1, _oracle_best(score1, T.domain.dim))
-        L2 = max(L2, _oracle_best(score2, T.codomain.dim))
+        L1 = max(L1, _oracle_best(T, (True, tau.p, sigma.p)))
+        L2 = max(L2, _oracle_best(A, (False, tau_d.p, sigma_d.p)))
     gap = abs(L1 - L2)
     report = {
         "L1_convexity": L1,

@@ -946,16 +946,10 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
     u0_max = float(gauges([T.apply(x) for x in u_samples])[0].max(initial=0.0))
     # K: estimated (tau, sigma)-convexity constant of T = max family ratio;
     # generator families realize their own ratios, so K >= ||g||_X on gauge-1 g
-    from .constants import generalized_convexity_ratio
+    from .constants import _max_ratio
 
-    K = 0.0
-    for _ in range(40):
-        m = int(rng.integers(1, 4))
-        fam = rng.standard_normal((m, E.dim))
-        try:
-            K = max(K, generalized_convexity_ratio(T, tau, sigma, fam))
-        except ValueError:
-            continue
+    K = _max_ratio(T, (True, tau.p, sigma.p),
+                   [rng.standard_normal((int(rng.integers(1, 4)), E.dim)) for _ in range(40)])
     v0_max = 0.0
     for g, gv in zip(body.gen_matrix, gauges(body.gen_matrix)[0]):
         if gv > 1e-12:

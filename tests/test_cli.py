@@ -165,6 +165,8 @@ def test_dual_norm_command(tmp_path, capsys):
     assert est["side"] == "exact"
     assert est["value"] > 1.0
     assert len(est["witness"]) == 2
+    # no dual norm searches, so the report states no search budget or seed
+    assert sorted(est) == ["side", "value", "witness"]
     lat = write_doc(tmp_path, "wr.json", {"dim": 3, "norm": {"kind": "lorentz_pinfty", "p": 3, "r": 1.5,
                                                             "weights": [1.0, 0.5, 2.0]}})
     code, out, _ = run_cli(["norm", "dual", "--lattice", lat, "--b", "1,-2,0.5"], capsys)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import latticelab as ll
-from latticelab.constants import set_partitions
+from latticelab._util import hill_climb, lp_norm, rng_for
+from latticelab.constants import _sphere_grid, set_partitions
 
 CM = ll.AtomicMeasure.counting
 
@@ -179,21 +180,149 @@ def test_ratio_rejects_malformed_families_and_returns_a_float():
                                        [np.array([1.0, np.inf])])
 
 
-def test_estimate_constant_unchanged_under_per_row_ratio(monkeypatch):
+# ---------------------------------------------------------------------------
+# the lockstep searches replay the sequential ones bit for bit
+
+
+def _seq_general(T, convex, tau, sigma, family):
+    """One family's ratio, computed alone as a one-family scorer would."""
+    mat = np.asarray(family, dtype=float)
+    if not np.isfinite(mat).all():
+        raise ValueError("non-finite family")
+    if convex:
+        den = ll.SymmetricSeqNorm(tau)(T.domain.norm.eval_rows(mat))
+        if den <= 0:
+            raise ValueError("zero family")
+        sv = lp_norm(mat @ T.matrix.T, sigma, axis=0)
+        return float(T.codomain.norm.eval_rows(sv[None])[0]) / den
+    den = float(T.domain.norm.eval_rows(lp_norm(mat, sigma, axis=0)[None])[0])
+    if den <= 0:
+        raise ValueError("zero family")
+    return ll.SymmetricSeqNorm(tau)(T.codomain.norm.eval_rows(mat @ T.matrix.T)) / den
+
+
+def _seq_ratio(T, kind, family):
+    if isinstance(kind, (ll.UpperEstimate, ll.LowerEstimate)):
+        if np.any((np.asarray(family) != 0).sum(axis=0) > 1):
+            raise ValueError("overlapping supports")
+    if isinstance(kind, (ll.Convex, ll.UpperEstimate)):
+        return _seq_general(T, True, kind.p, getattr(kind, "p2", math.inf), family)
+    return _seq_general(T, False, kind.q, getattr(kind, "q2", 1.0), family)
+
+
+def _seq_random_family_search(T, kind, budget, seed):
+    n = T.domain.dim
+    rng = rng_for(seed, "const-random", n)
+    best_val, best_fam = -math.inf, None
+    n_starts = max(4, min(24, budget // 250))
+    lengths = list(range(1, 2 * n + 1))
+    for _ in range(n_starts):
+        m = lengths[int(rng.integers(0, len(lengths)))]
+        if isinstance(kind, (ll.UpperEstimate, ll.LowerEstimate)):
+            m = min(m, n)
+            perm = rng.permutation(n)
+            cuts = sorted(rng.choice(np.arange(1, n), size=m - 1, replace=False).tolist()) if m > 1 else []
+            mask = np.zeros((m, n))
+            for i, part in enumerate(np.split(perm, cuts)):
+                mask[i, part] = 1.0
+            mat0, project = mask * rng.standard_normal((m, n)), mask.__mul__
+        else:
+            mat0, project = rng.standard_normal((m, n)), None
+        mat, val = hill_climb(lambda f: _seq_ratio(T, kind, f), mat0, rng,
+                              max(20, budget // (4 * n_starts)), project)
+        if val > best_val:
+            best_val, best_fam = val, mat
+    return best_val, best_fam
+
+
+def _seq_partition_search(T, kind, budget, seed):
+    n = T.domain.dim
+    rng = rng_for(seed, "const-partition", n)
+    if n <= 8:
+        partitions = list(set_partitions(range(n)))
+    else:
+        partitions = [[[i] for i in range(n)], [list(range(n))]]
+        partitions.append([list(range(n // 2)), list(range(n // 2, n))])
+        for _ in range(60):
+            labels = rng.integers(0, rng.integers(2, n + 1), n)
+            parts = [list(np.where(labels == l)[0]) for l in np.unique(labels)]
+            partitions.append([q for q in parts if q])
+    best_val, best_fam = -math.inf, None
+    iters = max(10, budget // (2 * max(1, len(partitions))))
+    for parts in partitions:
+        mask = np.zeros((len(parts), n))
+        for i, part in enumerate(parts):
+            mask[i, part] = 1.0
+        mat, val = hill_climb(lambda f: _seq_ratio(T, kind, f), mask, rng, iters, mask.__mul__)
+        if val > best_val:
+            best_val, best_fam = val, mat
+    return best_val, best_fam
+
+
+def _seq_estimate(T, kind, budget, seed):
+    """estimate_constant off the closed-form cases: one hill climb per start."""
+    vals = [_seq_random_family_search(T, kind, budget, seed)]
+    if isinstance(kind, (ll.UpperEstimate, ll.LowerEstimate)) and T.domain.dim <= 10:
+        vals.append(_seq_partition_search(T, kind, budget, seed))
+    return max(vals, key=lambda t: t[0])
+
+
+def _seq_renormed_ratio_max(X, p, q, seed):
+    measure = X.norm.measure if isinstance(X.norm, ll.WeightedLorentzPInfty) else CM(X.dim)
+    Tq = ll.identity_operator(ll.NormedLattice(X.dim, ll.WeightedLorentzPInfty(p, q, measure)))
+    rng = rng_for(seed, "renorm-check", X.dim)
+    best = 0.0
+    for _ in range(100):
+        fam = rng.standard_normal((int(rng.integers(1, 2 * X.dim + 1)), X.dim))
+        try:
+            best = max(best, _seq_ratio(Tq, ll.Convex(q, q), fam))
+        except ValueError:
+            continue
+    return best
+
+
+WITNESS_OP = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [0.5, 0.0, 1.0]])
+
+
+def _replay_cases():
     rng = np.random.default_rng(42)
     cases = []
-    for n in range(2, 7):
+    for n in (2, 3, 4, 5, 6, 9):  # n = 9 samples its partitions
         p = float(rng.uniform(1.3, 4.0))
-        cases.append((ll.identity_operator(_lorentz(n, p, 1.0, rng)), ll.UpperEstimate(p), n))
-    cases.append((ll.identity_operator(lp_lattice(3, 2.5)), ll.Convex(1.5, 1.5), 7))
-    stacked = [ll.estimate_constant(T, kind, budget=200, seed=seed) for T, kind, seed in cases]
-    monkeypatch.setattr("latticelab.constants.ratio", _ratio_per_row)
-    for (T, kind, seed), a in zip(cases, stacked):
-        b = ll.estimate_constant(T, kind, budget=200, seed=seed)
-        assert a.value == b.value
-        assert len(a.witness) == len(b.witness)
-        for wa, wb in zip(a.witness, b.witness):
-            assert np.array_equal(wa, wb)
+        cases.append((ll.identity_operator(_lorentz(n, p, 1.0, rng)), ll.UpperEstimate(p), 200, n))
+    T = ll.LinOperator(WITNESS_OP, lp_lattice(3, 2), lp_lattice(3, 1.5))
+    for kind in (ll.Convex(2, 2), ll.Concave(2, 1.5), ll.UpperEstimate(2), ll.LowerEstimate(2)):
+        cases.append((T, kind, 300, 4))
+    # families of 1 to 10 members in one stack: numpy sums 8 or more values
+    # pairwise, and the images of one member come from a BLAS gemv
+    rng = np.random.default_rng(7)
+    T = ll.LinOperator(rng.standard_normal((4, 5)), lp_lattice(5, 1.7), _lorentz(4, 3.0, 1.8, rng))
+    cases.append((T, ll.Convex(1.3, 1.3), 1000, 1))
+    return cases
+
+
+def _assert_same_estimate(est, want):
+    val, fam = want
+    assert est.side == "lower" and est.value == val
+    assert len(est.witness) == len(fam)
+    assert all(np.array_equal(w, row) for w, row in zip(est.witness, fam))
+
+
+@pytest.mark.parametrize("tiny_groups", [False, True])
+def test_estimate_constant_replays_the_sequential_search(monkeypatch, tiny_groups):
+    if tiny_groups:  # every lockstep group holds one climb
+        monkeypatch.setattr("latticelab.constants.NOISE_BYTES", 1)
+    for T, kind, budget, seed in _replay_cases():
+        _assert_same_estimate(ll.estimate_constant(T, kind, budget=budget, seed=seed),
+                              _seq_estimate(T, kind, budget, seed))
+
+
+def test_q_convexity_report_replays_the_sequential_search():
+    X = _lorentz(3, 2.8, 1.0, np.random.default_rng(43))
+    q = 1.6
+    rep = ll.check_q_convexity_bound(X, q, budget=1000, seed=2)
+    assert rep["K_q_lower"] == _seq_estimate(ll.identity_operator(X), ll.Convex(q, q), 1000, 2)[0]
+    assert rep["renormed_ratio_max"] == _seq_renormed_ratio_max(X, 2.8, q, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +393,20 @@ def test_estimate_constant_witness_reproduces():
         est = ll.estimate_constant(T, kind, budget=300, seed=4)
         fam = [np.asarray(w) for w in est.witness]
         assert ll.ratio(T, kind, fam) == pytest.approx(est.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [11, 12, 20])
+def test_identity_estimates_are_exact_past_the_partition_search(n):
+    # the power-mean argument holds at every n, not only where partitions are searched
+    T = ll.identity_operator(lp_lattice(n, 1.5))
+    est = ll.estimate_constant(T, ll.UpperEstimate(3), budget=200, seed=0)
+    assert est.side == "exact"
+    assert est.value == n ** (1 / 1.5 - 1 / 3)
+    assert ll.ratio(T, ll.UpperEstimate(3), est.witness) == pytest.approx(est.value, rel=1e-12)
+    est = ll.estimate_constant(T, ll.LowerEstimate(1.2), budget=200, seed=0)
+    assert est.side == "exact"
+    assert est.value == n ** (1 / 1.2 - 1 / 1.5)
+    assert ll.ratio(T, ll.LowerEstimate(1.2), est.witness) == pytest.approx(est.value, rel=1e-12)
 
 
 def test_set_partitions_counts_are_bell_numbers():
@@ -430,6 +573,75 @@ def test_duality_gap_scaling_covariance():
                             budget=500, seed=7)
     assert scaled["L1_convexity"] == pytest.approx(3 * base["L1_convexity"], rel=1e-9)
     assert scaled["L2_dual_concavity"] == pytest.approx(3 * base["L2_dual_concavity"], rel=1e-9)
+
+
+def _seq_oracle_best(score, dim):
+    """The grid oracle, one family at a time."""
+    from itertools import combinations_with_replacement
+
+    dirs = _sphere_grid(dim)
+    weights2 = [np.array([t, 1 - t]) for t in np.linspace(0.05, 0.95, 7)]
+    weights3 = [np.array([a, b, 1 - a - b])
+                for a in np.linspace(0.1, 0.8, 4) for b in np.linspace(0.1, 0.8, 4)
+                if a + b < 0.95]
+    fams = [[d] for d in dirs]
+    fams += [[wt[0] * dirs[i], wt[1] * dirs[j]]
+             for i, j in combinations_with_replacement(range(0, len(dirs), 2), 2) for wt in weights2]
+    fams += [[wt[0] * dirs[i], wt[1] * dirs[j], wt[2] * dirs[k]]
+             for i, j, k in combinations_with_replacement(range(0, len(dirs), 4), 3) for wt in weights3]
+    best = 0.0
+    for fam in fams:
+        try:
+            best = max(best, score(fam))
+        except ValueError:
+            pass
+    return best
+
+
+def _seq_duality_gap(T, tau, sigma, budget, seed):
+    """duality_gap with one hill climb per start."""
+    A = T.adjoint()
+    tau_d, sigma_d = ll.sigma_dual(tau), ll.sigma_dual(sigma)
+    rng = rng_for(seed, "duality", T.domain.dim, T.codomain.dim)
+
+    def score1(fam):
+        return _seq_general(T, True, tau.p, sigma.p, fam)
+
+    def score2(fam):
+        return _seq_general(A, False, tau_d.p, sigma_d.p, fam)
+
+    def search(score, dim):
+        best, n_starts = 0.0, max(4, min(16, budget // 400))
+        for _ in range(n_starts):
+            mat0 = rng.standard_normal((int(rng.integers(1, 2 * dim + 1)), dim))
+            best = max(best, hill_climb(score, mat0, rng, max(20, budget // (4 * n_starts)))[1])
+        return best
+
+    L1, L2 = search(score1, T.domain.dim), search(score2, T.codomain.dim)
+    diag = T.matrix.shape[0] == T.matrix.shape[1] and np.allclose(T.matrix, np.diag(np.diag(T.matrix)))
+    oracle_used = bool(diag and T.domain.dim <= 3)
+    if oracle_used:
+        L1 = max(L1, _seq_oracle_best(score1, T.domain.dim))
+        L2 = max(L2, _seq_oracle_best(score2, T.codomain.dim))
+    return {"L1_convexity": L1, "L2_dual_concavity": L2, "gap": abs(L1 - L2),
+            "oracle_used": oracle_used, "pass": bool(abs(L1 - L2) <= 5e-2) if oracle_used else None}
+
+
+@pytest.mark.parametrize("matrix,taus,diagonal", [
+    (np.diag([2.0, 1.0]), (2, 1.5), True),
+    (np.diag([1.5, -0.5, 1.0]), (1.5, math.inf), True),
+    (np.array([[2.0, 0.5], [0.0, 1.0]]), (2, 2), False),
+    (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.5]]), (3, 1), False),
+])
+def test_duality_gap_replays_the_sequential_search(matrix, taus, diagonal):
+    T = ll.LinOperator(matrix, lp_lattice(matrix.shape[1], 2), lp_lattice(matrix.shape[0], 3))
+    tau, sigma = ll.SymmetricSeqNorm(taus[0]), ll.SymmetricSeqNorm(taus[1])
+    rep = ll.duality_gap(T, tau, sigma, budget=1200, seed=5)
+    assert rep == _seq_duality_gap(T, tau, sigma, 1200, 5)
+    if diagonal:  # of dimension <= 3: the grid oracle ran
+        assert rep["oracle_used"] and isinstance(rep["pass"], bool)
+    else:
+        assert not rep["oracle_used"] and rep["pass"] is None
 
 
 def test_duality_gap_rejects_non_lp():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from latticelab._util import hill_climb, rng_for
+from latticelab._util import climb_lockstep, hill_climb, rng_for
 
 TARGET = np.array([[0.8, -1.5, 2.0], [-0.3, 1.1, 0.4]])
 MASK = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -108,3 +108,34 @@ def test_scaled_score_takes_the_same_path():
     for x, v, s in paths[1:]:
         assert np.array_equal(x, x0) and v == v0
         assert all(np.array_equal(a, b) for a, b in zip(s, s0))
+
+
+def test_lockstep_replays_each_hill_climb():
+    def score(x):
+        if x[0, 0] > 0.9:
+            raise ValueError("inadmissible")
+        return closeness(x)
+
+    def scores(stack):
+        out = []
+        for x in stack:
+            try:
+                out.append(score(x))
+            except ValueError:
+                out.append(-math.inf)
+        return np.array(out)
+
+    draw = rng_for(6, "hc")
+    masks = [MASK, np.ones((2, 3)), MASK, np.ones((2, 3))]
+    starts = [mask * 0.3 * draw.standard_normal((2, 3)) for mask in masks]
+    rng = rng_for(7, "hc")
+    want = [hill_climb(score, x0, rng, 80, mask.__mul__) for x0, mask in zip(starts, masks)]
+    # the same draws: each climb's 80 proposals as one block, climb after climb
+    rng = rng_for(7, "hc")
+    noise = np.stack([rng.standard_normal((80, 2, 3)) for _ in starts], axis=1)
+    X0 = np.stack(starts)
+    assert np.all(scores(X0) > -math.inf)  # an inadmissible start draws nothing
+    X, best = climb_lockstep(scores, X0, scores(X0), np.stack(masks), noise)
+    for (x, val), xb, vb in zip(want, X, best):
+        assert val == vb and np.array_equal(x, xb)
+    assert not np.array_equal(X, X0)
