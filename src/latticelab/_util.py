@@ -3,9 +3,11 @@ and canonical JSON output.
 
 Everything randomized in this package flows through :func:`rng_for`, which
 hashes an explicit user seed together with string tags into an independent
-stream per task; every searched lower bound climbs with :func:`hill_climb`,
-or with :func:`climb_lockstep`, its exact replay of many climbs as one stack
-per step; every named verdict reads its tolerance from :data:`TOLERANCES`.
+stream per task; every searched lower bound climbs with :func:`hill_climb`
+or one of its two exact replays without ``stop``: :func:`climb_lockstep`, many
+climbs as one stack per step, and :func:`climb_ahead`, one climb as one stack
+of all its remaining proposals per accept; every named verdict reads its
+tolerance from :data:`TOLERANCES`.
 Reports are serialized by :func:`canonical_json` with sorted
 keys and 17-significant-digit floats so identical runs are byte-identical.
 """
@@ -44,7 +46,7 @@ def rng_for(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *tags))
 
 
-# The step schedule of both climbers: the first step, its factor per proposal, its floor.
+# The step schedule of the climbers: the first step, its factor per proposal, its floor.
 STEP0, STEP_DECAY, STEP_FLOOR = 0.5, 0.99, 0.02
 
 
@@ -55,7 +57,7 @@ def hill_climb(score, x0, rng, iters, project=None, stop=math.inf):
     higher.  A ValueError from ``score`` rejects the proposal (an inadmissible
     start scores -inf and is returned as is, with nothing drawn), and the
     climb ends once the score exceeds ``stop``.  Returns (point, score).
-    :func:`climb_lockstep` replays many climbs without ``stop`` at once."""
+    :func:`climb_lockstep` and :func:`climb_ahead` replay it without ``stop``."""
     try:
         best = score(x0)
     except ValueError:
@@ -92,6 +94,30 @@ def climb_lockstep(score, x0, best, masks, noise):
         val = score(prop)
         up = val > best
         x[up], best[up] = prop[up], val[up]
+    return x, best
+
+
+def climb_ahead(score_rows, project_rows, x0, best, noise):
+    """One hill climb without ``stop`` from x0, of score best, that scores all
+    its remaining proposals ``project_rows(x + step_s * noise[s])``, s >= t,
+    as one stack (-inf if inadmissible) and moves to the first that scores
+    strictly higher, the one hill_climb accepts next; it looks ahead again
+    from there and ends when none does.  With hill_climb's draws as noise
+    (``standard_normal((iters,) + x0.shape)``) it replays hill_climb exactly,
+    in accepts + 1 ``score_rows`` calls.  Returns (point, score)."""
+    steps, step = np.empty(len(noise)), STEP0
+    for t in range(len(noise)):
+        steps[t] = step
+        step = max(STEP_FLOOR, step * STEP_DECAY)
+    steps = steps.reshape((-1,) + (1,) * (noise.ndim - 1))
+    x, t = x0, 0
+    while t < len(noise):
+        prop = project_rows(x + steps[t:] * noise[t:])
+        val = score_rows(prop)
+        up = np.flatnonzero(val > best)
+        if not up.size:
+            break
+        x, best, t = prop[up[0]], val[up[0]], t + int(up[0]) + 1
     return x, best
 
 

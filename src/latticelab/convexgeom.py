@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401
 from scipy.spatial import HalfspaceIntersection, QhullError
 
-from ._util import conjugate, hill_climb, lp_norm, rng_for
+from ._util import climb_ahead, conjugate, lp_norm, rng_for
 from .core import (
     GaugeOf,
     LatticeSchemaError,
@@ -531,11 +531,12 @@ def _best_decomposition(T: LinOperator, u: np.ndarray, tau, C: np.ndarray) -> tu
     return float(vals[k]), parts[k].copy()
 
 
-def _best_grid_decomposition(T: LinOperator, u: np.ndarray, tau, opts: np.ndarray) -> tuple:
+def _best_grid_decomposition(T: LinOperator, u: np.ndarray, tau, opts, orbits) -> tuple:
     """The best of the two-part decompositions whose column j is one row of the
-    (K, 2) option array ``opts`` times u_j: all K^n of them, rows in
-    np.indices order.  Returns the value and the (2, n) parts of the first
-    maximizer in that order, the row np.argmax picks on the full grid.
+    (K, 2) option array ``opts``, of orbit tables ``orbits``, times u_j: all
+    K^n of them, rows in np.indices order.  Returns the value and the (2, n)
+    parts of the first maximizer in that order, the row np.argmax picks on
+    the full grid.
 
     Only an orbit quotient is scored.  Negating either part in every
     coordinate, or swapping the parts, maps a grid row to one of the same
@@ -548,7 +549,7 @@ def _best_grid_decomposition(T: LinOperator, u: np.ndarray, tau, opts: np.ndarra
     full-grid index over those orbits.  The images of the column options are
     formed once per coordinate and summed by broadcasting."""
     K, n = len(opts), u.shape[0]
-    perms, reps = _option_orbits(opts)
+    perms, reps = orbits
     images = np.zeros((1, 2, T.codomain.dim))
     for j in range(n):
         col = ((opts[reps] if j == 0 else opts) * u[j])[:, :, None] * T.matrix[:, j]
@@ -563,14 +564,38 @@ def _best_grid_decomposition(T: LinOperator, u: np.ndarray, tau, opts: np.ndarra
     return float(top), opts[list(pick)].T * u
 
 
-def _d_search(T: LinOperator, u: np.ndarray, tau, sigma, budget: int, seed: int) -> tuple:
+def _d_plan(n: int, tau, sigma, budget: int, seed: int) -> tuple:
+    """What the D searches on R^n share for one (tau, sigma, budget, seed):
+    sigma.p, the no-split sign rows, the split grid's options and orbit tables
+    (n <= 3), the sigma = inf vertex stacks, the random stage's normal block
+    per part count, and, from the state after those, the polish noise for each
+    part count 2..4 a polish can start from."""
+    rng = rng_for(seed, "dsearch", n, tau.p, sigma.p)
+    rows = np.ones((1, n)) if n > 10 else np.vstack([np.ones(n), _signs(n)])
+    grid, vertices = None, []
+    if n <= 3:
+        opts = np.array(_column_options(sigma.p, 9))
+        grid = (opts, _option_orbits(opts))
+        if sigma.p == math.inf:
+            # the per-coordinate constraint decouples and the objective is
+            # convex in each entry, so +-1 vertices are exhaustive
+            vertices = [_signs(m * n).reshape(-1, m, n) for m in (2, 3, 4) if 2 ** (m * n) <= 5000]
+    ms = rng.integers(1, 5, size=max(16, budget // 8))
+    draws = [rng.standard_normal((k, m, n)) for m in range(1, 5) if (k := np.count_nonzero(ms == m))]
+    state, polish = rng.bit_generator.state, {}
+    for m in (2, 3, 4):
+        rng.bit_generator.state = state
+        polish[m] = rng.standard_normal((max(0, min(150, budget // 10)), m, n))
+    return sigma.p, rows[:, None, :], grid, vertices, draws, polish
+
+
+def _d_search(T: LinOperator, u: np.ndarray, tau, plan: tuple) -> tuple:
     """(best, best_parts) of the search behind :func:`search_D_violation` on a
-    checked float vector u, the parts also when best <= 1; best_parts is None
-    when no decomposition scores above 0."""
-    n = u.shape[0]
+    checked float vector u with the stacks and draws of ``plan``, the parts
+    also when best <= 1; best_parts is None when no decomposition scores above 0."""
     if not np.any(u != 0):
         return 0.0, None
-    rng = rng_for(seed, "dsearch", n, tau.p, sigma.p)
+    sigma_p, rows, grid, vertices, draws, polish = plan
     best, best_parts = 0.0, None
 
     def consider(val, parts):
@@ -579,39 +604,33 @@ def _d_search(T: LinOperator, u: np.ndarray, tau, sigma, budget: int, seed: int)
             best, best_parts = val, parts
 
     # no-split candidates (m = 1, |c| <= 1 entrywise; vertices suffice)
-    rows = np.ones((1, n)) if n > 10 else np.vstack([np.ones(n), _signs(n)])
-    consider(*_best_decomposition(T, u, tau, rows[:, None, :]))
-    if n <= 3:
+    consider(*_best_decomposition(T, u, tau, rows))
+    if grid is not None:
         # exhaustive two-part decompositions on a per-coordinate split grid
-        consider(*_best_grid_decomposition(T, u, tau, np.array(_column_options(sigma.p, 9))))
-        if sigma.p == math.inf:
-            # the per-coordinate constraint decouples and the objective is
-            # convex in each entry, so +-1 vertices are exhaustive
-            for m in (2, 3, 4):
-                if 2 ** (m * n) <= 5000:
-                    consider(*_best_decomposition(T, u, tau, _signs(m * n).reshape(-1, m, n)))
+        consider(*_best_grid_decomposition(T, u, tau, *grid))
+    for C in vertices:
+        consider(*_best_decomposition(T, u, tau, C))
     # random decompositions: signed multipliers with sigma-tight columns, one
-    # stacked draw and one stacked score for each part count m
+    # stacked score for each part count m
     supp = u != 0
-    ms = rng.integers(1, 5, size=max(16, budget // 8))
-    for m in range(1, 5):
-        count = int(np.count_nonzero(ms == m))
-        if count == 0:
-            continue
-        c = rng.standard_normal((count, m, n)) * supp
-        colnorm = lp_norm(c, sigma.p, axis=1) if m > 1 else np.abs(c[:, 0])
+    for raw in draws:
+        c = raw * supp
+        colnorm = lp_norm(c, sigma_p, axis=1) if c.shape[1] > 1 else np.abs(c[:, 0])
         scale = np.where(colnorm > 0, 1.0 / np.maximum(colnorm, 1e-300), 0.0) * supp
         consider(*_best_decomposition(T, u, tau, c * scale[:, None, :]))
     # local polish on the best decomposition found
     if best_parts is not None and len(best_parts) > 1:
         c0 = np.divide(best_parts, u, out=np.zeros_like(best_parts), where=supp)
 
-        def project(c):  # columns back into the sigma-ball, zero off the support
-            return c / np.maximum(lp_norm(c, sigma.p, axis=0), 1.0) * supp
+        def score_rows(C):
+            return _decomposition_values(T, tau, (C * u) @ T.matrix.T)
 
-        c, val = hill_climb(lambda c: _best_decomposition(T, u, tau, c[None])[0],
-                            c0, rng, min(150, budget // 10), project)
-        consider(val, c * u)
+        def project_rows(C):  # columns back into the sigma-ball, zero off the support
+            return C / np.maximum(lp_norm(C, sigma_p, axis=1), 1.0)[:, None, :] * supp
+
+        c, val = climb_ahead(score_rows, project_rows, c0, float(score_rows(c0[None])[0]),
+                             polish[len(c0)])
+        consider(float(val), c * u)
     return best, best_parts
 
 
@@ -626,17 +645,18 @@ def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: Symmetri
     whose column images are formed once per coordinate and summed by
     broadcasting; for sigma = inf the +-1 vertices of 2-4 parts;
     max(16, budget // 8) random decompositions, drawn as one block per part
-    count m in 1..4; then a hill-climb polish of the best one.  The split grid
-    scores one row or a few per orbit of part negations and the part swap
-    (5,120 of its 32,768 rows at n = 3), all of the same value, and returns
-    the first maximizer of the full grid, so the search's result is the one
-    the full grid gives.  No multiplier depends on |u|, so the search is
-    positively homogeneous: rho at s u is s times rho at u, which
-    :func:`verify_polarity` relies on."""
+    count m in 1..4 (all stacks and draws are one :func:`_d_plan`); then a
+    hill-climb polish of the best one, one stack per accepted proposal
+    (:func:`_util.climb_ahead`).  The split grid scores one row or a few per
+    orbit of part negations and the part swap (5,120 of its 32,768 rows at
+    n = 3), all of the same value, and returns the first maximizer of the full
+    grid, so the search's result is the one the full grid gives.  No
+    multiplier depends on |u|, so the search is positively homogeneous: rho at
+    s u is s times rho at u, which :func:`verify_polarity` relies on."""
     u = as_vector(u)
     if u.shape[0] != T.domain.dim:
         raise ValueError("dimension mismatch")
-    best, best_parts = _d_search(T, u, tau, sigma, budget, seed)
+    best, best_parts = _d_search(T, u, tau, _d_plan(u.shape[0], tau, sigma, budget, seed))
     witness = list(best_parts) if best > 1.0 else None
     return {"in_D": bool(best <= 1.0), "witness": witness, "rho_lower": float(best)}
 
@@ -681,8 +701,10 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
     induced by the violating decomposition (up to 3 rounds) before a
     counterexample is recorded.
 
-    Direction (b) runs one D search per sampled w: rho and the D search are
-    positively homogeneous, so the violator u* = w (1 + 1e-3) / rho(w) and its
+    Every D search of both directions shares one plan (:func:`_d_plan`), as
+    they share A = T*, the dual exponents, the budget and the seed.  Direction
+    (b) runs one D search per sampled w: rho and the D search are positively
+    homogeneous, so the violator u* = w (1 + 1e-3) / rho(w) and its
     decomposition are that search's result rescaled.  ``d_searches`` counts
     the D searches run."""
     A = T.adjoint()
@@ -691,7 +713,7 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
     degenerate = not np.any(body.gen_matrix > 0)
     rng = rng_for(seed, "polarity", T.domain.dim, T.codomain.dim)
     n_dir = max(12, min(60, sample_count // 150))
-    d_budget = max(400, sample_count // 10)
+    plan = _d_plan(T.codomain.dim, tau_d, sigma_d, max(400, sample_count // 10), seed)
     enrich_rounds = d_searches = 0
     a_viol, b_viol = [], []
     a_checked = b_checked = 0
@@ -703,39 +725,33 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
         sup = support_function(body, w)
         ustar = w if sup <= 1e-12 else w / sup
         a_checked += 1
-        ok = False
         for round_ in range(4):
-            res = search_D_violation(A, ustar, tau_d, sigma_d, d_budget, seed)
+            rho, parts = _d_search(A, ustar, tau_d, plan)
             d_searches += 1
-            if res["rho_lower"] <= 1 + 1e-6:
-                ok = True
+            ok = rho <= 1 + 1e-6
+            if ok or round_ == 3:
                 break
-            if round_ == 3 or res["witness"] is None:
-                break
-            g = _enrichment_generator(T, tau, sigma, res["witness"])
+            g = _enrichment_generator(T, tau, sigma, list(parts))
             body = _with_extra(body, [g])
             enrich_rounds += 1
             sup = support_function(body, w)
             ustar = w if sup <= 1e-12 else w / sup
         if not ok:
-            a_viol.append({"u_star": ustar.tolist(), "rho_lower": res["rho_lower"]})
+            a_viol.append({"u_star": ustar.tolist(), "rho_lower": rho})
 
     # direction (b): D-violators must leave the polar
     for _ in range(max(10, n_dir // 2)):
         w = rng.standard_normal(T.codomain.dim)
-        rho, parts = _d_search(A, w, tau_d, sigma_d, d_budget, seed)
+        rho, parts = _d_search(A, w, tau_d, plan)
         d_searches += 1
         if rho <= 1e-9:
             continue
         scale = (1.0 + 1e-3) / rho
         ustar = w * scale
         b_checked += 1
-        ok = False
         for round_ in range(4):
-            if support_function(body, ustar) > 1 - 5e-2:
-                ok = True
-                break
-            if round_ == 3:
+            ok = support_function(body, ustar) > 1 - 5e-2
+            if ok or round_ == 3:
                 break
             g = _enrichment_generator(T, tau, sigma, list(parts * scale))
             body = _with_extra(body, [g])

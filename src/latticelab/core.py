@@ -434,19 +434,18 @@ class LinfSum(NormSpec):
         return sum(b.dim for b in self.blocks)
 
     def evaluate(self, v):
-        vals, side = _eval_blocks(self.blocks, v)
-        return max([0.0, *vals]), side
+        return max([0.0, *_eval_blocks(self.blocks, v)]), "exact"
 
     def dual_norm(self, b):
-        vals, wits, side = _dual_blocks(self.blocks, b)
+        vals, wits = _dual_blocks(self.blocks, b)
         total = 0.0
         for val in vals:
             total += val
-        return total, side, np.concatenate(wits)
+        return total, "exact", np.concatenate(wits)
 
     def norming(self, a):
         pieces = _split_blocks(a, self.blocks)
-        i = int(np.argmax(_eval_blocks(self.blocks, a)[0]))
+        i = int(np.argmax(_eval_blocks(self.blocks, a)))
         out = [np.zeros(blk.dim) for blk in self.blocks]
         out[i] = norming_functional(self.blocks[i], pieces[i])
         return np.concatenate(out)
@@ -481,20 +480,16 @@ class BlockLorentz(NormSpec):
         return sum(b.dim for b in self.blocks)
 
     def evaluate(self, v):
-        t, side = _eval_blocks(self.blocks, v)
-        val, s = self.outer.evaluate(np.array(t))
-        return val, ("exact" if side == s == "exact" else "lower")
+        return self.outer.evaluate(np.array(_eval_blocks(self.blocks, v)))
 
     def dual_norm(self, b):
-        t, wits, side = _dual_blocks(self.blocks, b)
-        val, outer_side, s = self.outer.dual_norm(np.array(t))
-        if outer_side != "exact":
-            side = "lower"
+        t, wits = _dual_blocks(self.blocks, b)
+        val, side, s = self.outer.dual_norm(np.array(t))
         return val, side, np.concatenate([s[k] * wits[k] for k in range(len(wits))])
 
     def norming(self, a):
         pieces = _split_blocks(a, self.blocks)
-        t = np.array(_eval_blocks(self.blocks, a)[0])
+        t = np.array(_eval_blocks(self.blocks, a))
         beta = self.outer.norming(t) if np.any(t > 0) else np.zeros(len(t))
         parts = []
         for k, (blk, piece) in enumerate(zip(self.blocks, pieces)):
@@ -789,15 +784,9 @@ def _split_blocks(v: np.ndarray, blocks) -> list:
     return out
 
 
-def _eval_blocks(blocks, v: np.ndarray) -> tuple:
-    """Norms of the consecutive blocks of v, and 'lower' if any of them is."""
-    vals, side = [], "exact"
-    for blk, piece in zip(blocks, _split_blocks(v, blocks)):
-        val, s = blk.norm.evaluate(piece)
-        vals.append(val)
-        if s != "exact":
-            side = "lower"
-    return vals, side
+def _eval_blocks(blocks, v: np.ndarray) -> list:
+    """Norms of the consecutive blocks of v."""
+    return [blk.norm.evaluate(piece)[0] for blk, piece in zip(blocks, _split_blocks(v, blocks))]
 
 
 # ---------------------------------------------------------------------------
@@ -811,11 +800,10 @@ def eval_dual_norm(X: NormedLattice, b, budget: int = 2000, seed: int = 0) -> Co
 
 
 def _dual_blocks(blocks, b: np.ndarray) -> tuple:
-    """Dual norms and witnesses of the consecutive blocks of b, and 'lower' if
-    any of them is."""
+    """(dual norms, witnesses) of the consecutive blocks of b."""
     ests = [blk.norm.dual_norm(piece) for blk, piece in zip(blocks, _split_blocks(b, blocks))]
-    vals, sides, wits = zip(*ests)
-    return vals, wits, ("exact" if all(s == "exact" for s in sides) else "lower")
+    vals, _, wits = zip(*ests)
+    return vals, wits
 
 
 def _lp_norming(p_of_ball: float, b: np.ndarray) -> np.ndarray:

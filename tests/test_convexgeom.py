@@ -9,13 +9,14 @@ import pytest
 from scipy.optimize import linprog
 
 import latticelab as ll
-from latticelab._util import canonical_json, lp_norm
+from latticelab._util import canonical_json, hill_climb, lp_norm, rng_for
 from latticelab.convexgeom import (
     _GAUGE_WORK,
     _append_raw,
     _best_decomposition,
     _best_grid_decomposition,
     _column_options,
+    _d_plan,
     _d_search,
     _decomposition_values,
     _gauge_lp,
@@ -587,7 +588,7 @@ def test_d_search_scaling_exact():
                           (3, ll.SymmetricSeqNorm(1.5), ll.SymmetricSeqNorm(2.5))):
         A = ll.LinOperator(rng.standard_normal((n, n)), lp_lattice(n, 2), lp_lattice(n, 1.5))
         u = rng.standard_normal(n)
-        rho, parts = _d_search(A, u, tau, sigma, 600, 3)
+        rho, parts = _d_search(A, u, tau, _d_plan(n, tau, sigma, 600, 3))
         scale = (1.0 + 1e-3) / rho
         fresh = ll.search_D_violation(A, u * scale, tau, sigma, budget=600, seed=3)
         assert fresh["rho_lower"] == pytest.approx(rho * scale, rel=1e-9)
@@ -644,7 +645,7 @@ def test_grid_decomposition_matches_gathered_stack():
         opts = np.array(_column_options(sigma_p, 9))
         idx = np.indices((len(opts),) * n).reshape(n, -1).T
         want, _ = _best_decomposition(T, u, tau, opts[idx].transpose(0, 2, 1))
-        val, parts = _best_grid_decomposition(T, u, tau, opts)
+        val, parts = _best_grid_decomposition(T, u, tau, opts, _option_orbits(opts))
         assert parts.shape == (2, n)
         assert abs(val - want) <= 4 * np.spacing(want)
         rescored = _decomposition_values_loop(T, np.ones(n), tau, parts[None])[0]
@@ -654,9 +655,10 @@ def test_grid_decomposition_matches_gathered_stack():
         assert np.all(lp_norm(ratio, sigma_p, axis=0) <= 1 + 1e-12)
 
 
-def _full_grid_decomposition(T, u, tau, opts):
+def _full_grid_decomposition(T, u, tau, opts, orbits=None):
     """The split grid as it was before the orbit quotient: every one of the
-    K^n rows scored, the first maximizer taken by np.argmax."""
+    K^n rows scored, the first maximizer taken by np.argmax; ``orbits`` is
+    unused."""
     K, n = len(opts), u.shape[0]
     images = np.zeros((1, 2, T.codomain.dim))
     for j in range(n):
@@ -691,7 +693,7 @@ def test_grid_quotient_is_bit_identical_to_the_full_grid(name):
             elif i % 3 == 2:
                 u[:] = -0.7
             want_val, want_parts = _full_grid_decomposition(T, u, tau, opts)
-            val, parts = _best_grid_decomposition(T, u, tau, opts)
+            val, parts = _best_grid_decomposition(T, u, tau, opts, _option_orbits(opts))
             assert val == want_val
             assert np.array_equal(parts, want_parts)
             assert np.array_equal(np.signbit(parts), np.signbit(want_parts))
@@ -705,7 +707,7 @@ def test_grid_quotient_keeps_the_first_nan_row():
     u = np.array([1e308, 1e308])
     opts = np.array(_column_options(2.0, 9))
     want_val, want_parts = _full_grid_decomposition(T, u, L2, opts)
-    val, parts = _best_grid_decomposition(T, u, L2, opts)
+    val, parts = _best_grid_decomposition(T, u, L2, opts, _option_orbits(opts))
     assert math.isnan(want_val) and math.isnan(val)
     assert np.array_equal(parts, want_parts)
     assert np.array_equal(np.signbit(parts), np.signbit(want_parts))
@@ -742,6 +744,104 @@ def test_polarity_reports_match_the_full_grid(monkeypatch, tau_p, sigma_p):
     rep = ll.verify_polarity(T, tau, sigma, sample_count=2000, seed=4)
     monkeypatch.setattr(cg, "_best_grid_decomposition", _full_grid_decomposition)
     want = ll.verify_polarity(T, tau, sigma, sample_count=2000, seed=4)
+    assert canonical_json(rep) == canonical_json(want)
+
+
+def _d_search_per_call(T, u, tau, sigma, budget, seed):
+    """The D search as it was before plans: its generator, options and orbit
+    tables built per call, and the polish one hill_climb proposal at a time."""
+    n = u.shape[0]
+    if not np.any(u != 0):
+        return 0.0, None
+    rng = rng_for(seed, "dsearch", n, tau.p, sigma.p)
+    best, best_parts = 0.0, None
+
+    def consider(val, parts):
+        nonlocal best, best_parts
+        if val > best:
+            best, best_parts = val, parts
+
+    rows = np.ones((1, n)) if n > 10 else np.vstack([np.ones(n), _signs(n)])
+    consider(*_best_decomposition(T, u, tau, rows[:, None, :]))
+    if n <= 3:
+        opts = np.array(_column_options(sigma.p, 9))
+        consider(*_best_grid_decomposition(T, u, tau, opts, _option_orbits(opts)))
+        if sigma.p == math.inf:
+            for m in (2, 3, 4):
+                if 2 ** (m * n) <= 5000:
+                    consider(*_best_decomposition(T, u, tau, _signs(m * n).reshape(-1, m, n)))
+    supp = u != 0
+    ms = rng.integers(1, 5, size=max(16, budget // 8))
+    for m in range(1, 5):
+        count = int(np.count_nonzero(ms == m))
+        if count == 0:
+            continue
+        c = rng.standard_normal((count, m, n)) * supp
+        colnorm = lp_norm(c, sigma.p, axis=1) if m > 1 else np.abs(c[:, 0])
+        scale = np.where(colnorm > 0, 1.0 / np.maximum(colnorm, 1e-300), 0.0) * supp
+        consider(*_best_decomposition(T, u, tau, c * scale[:, None, :]))
+    if best_parts is not None and len(best_parts) > 1:
+        c0 = np.divide(best_parts, u, out=np.zeros_like(best_parts), where=supp)
+
+        def project(c):
+            return c / np.maximum(lp_norm(c, sigma.p, axis=0), 1.0) * supp
+
+        c, val = hill_climb(lambda c: _best_decomposition(T, u, tau, c[None])[0],
+                            c0, rng, min(150, budget // 10), project)
+        consider(val, c * u)
+    return best, best_parts
+
+
+def _same_search(got, want):
+    (val, parts), (want_val, want_parts) = got, want
+    assert val == want_val and type(val) is type(want_val)
+    assert (parts is None) == (want_parts is None)
+    if parts is not None:
+        assert np.array_equal(parts, want_parts)
+        assert np.array_equal(np.signbit(parts), np.signbit(want_parts))
+
+
+@pytest.mark.parametrize("name", list(PROTOCOL_LATTICES))
+def test_planned_d_search_replays_the_per_call_search(name):
+    # every codomain kind, n = 1..4, every tau/sigma pair, budgets 400 and
+    # 2000 (polishes of 40 and 150 proposals), and u with random, zero and
+    # equal entries.  Kinds that evaluate row by row are slow, so they run
+    # every other pair (all taus and sigmas still occur), and n = 3 on two
+    X = PROTOCOL_LATTICES[name]
+    rowwise = type(X.norm).eval_rows is ll.NormSpec.eval_rows
+    rng = np.random.default_rng(71)
+    pairs = [(t, s) for t in (1.0, 1.5, 2.0, math.inf) for s in (1.0, 1.5, 2.0, 3.0, math.inf)]
+    polished = 0
+    for i, (tau_p, sigma_p) in enumerate(pairs):
+        for n in (1, 2, 3, 4):
+            if rowwise and (i % 2 or n == 3 and i % 7 != 4):
+                continue
+            tau, sigma = ll.SymmetricSeqNorm(tau_p), ll.SymmetricSeqNorm(sigma_p)
+            budget, seed = (400, 2000)[(i + n) % 2], i
+            T = ll.LinOperator(rng.standard_normal((X.dim, n)), lp_lattice(n, 2), X)
+            u = rng.standard_normal(n)
+            if (i + n) % 3 == 1:
+                u[i % n] = 0.0
+            elif (i + n) % 3 == 2:
+                u[:] = -0.7
+            want = _d_search_per_call(T, u, tau, sigma, budget, seed)
+            _same_search(_d_search(T, u, tau, _d_plan(n, tau, sigma, budget, seed)), want)
+            polished += want[1] is not None and len(want[1]) > 1
+    assert polished > 0
+
+
+def test_polarity_report_matches_the_per_call_search(monkeypatch):
+    import latticelab.convexgeom as cg
+
+    T = ll.LinOperator(np.array([[1.0, 0.5, -0.2], [-0.3, 2.0, 0.4], [0.6, 0.1, 1.2]]),
+                       lp_lattice(3, 1.5), lp_lattice(3, 3))
+    tau, sigma = ll.SymmetricSeqNorm(2.0), ll.SymmetricSeqNorm(1.5)
+    rep = ll.verify_polarity(T, tau, sigma, sample_count=2000, seed=5)
+    tau_d, sigma_d = ll.sigma_dual(tau), ll.sigma_dual(sigma)
+    monkeypatch.setattr(cg, "_d_search", lambda A, u, t, plan: _d_search_per_call(
+        A, u, tau_d, sigma_d, 400, 5))
+    want = ll.verify_polarity(T, tau, sigma, sample_count=2000, seed=5)
+    assert rep["d_searches"] > 12
     assert canonical_json(rep) == canonical_json(want)
 
 
@@ -875,7 +975,7 @@ def test_minimal_factorization_zero_operator_is_trivial():
 
 
 def test_factorization_report_is_json_ready():
-    from latticelab._util import canonical_json, lp_norm
+    from latticelab._util import canonical_json, hill_climb, lp_norm, rng_for
 
     X = lp_lattice(2, 2)
     F = ll.build_minimal_factorization(ll.identity_operator(X), L2, LINF,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from latticelab._util import climb_lockstep, hill_climb, rng_for
+from latticelab._util import climb_ahead, climb_lockstep, hill_climb, rng_for
 
 TARGET = np.array([[0.8, -1.5, 2.0], [-0.3, 1.1, 0.4]])
 MASK = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -139,3 +139,58 @@ def test_lockstep_replays_each_hill_climb():
     for (x, val), xb, vb in zip(want, X, best):
         assert val == vb and np.array_equal(x, xb)
     assert not np.array_equal(X, X0)
+
+
+def _replay(score, x0, iters, seed, project=None):
+    """(hill_climb's result, climb_ahead's result on the same draws, the
+    proposals hill_climb accepted, the stack sizes climb_ahead scored)."""
+    recorded, seen = recording(score)
+    want = hill_climb(recorded, x0, rng_for(seed, "ahead"), iters, project)
+    accepts, best = 0, seen[0][1]
+    for _, v in seen[1:]:
+        if v > best:
+            accepts, best = accepts + 1, v
+    stacks = []
+
+    def score_rows(stack):
+        stacks.append(len(stack))
+        return np.array([score(x) for x in stack])
+
+    noise = rng_for(seed, "ahead").standard_normal((iters,) + x0.shape)
+    got = climb_ahead(score_rows, project or (lambda stack: stack), x0, score(x0), noise)
+    return want, got, accepts, stacks
+
+
+def test_climb_ahead_replays_hill_climb():
+    far = np.full((2, 3), 40.0)
+
+    def rounded(x):  # many proposals tie the current score
+        return float(np.round(closeness(x), 0))
+
+    def nan_corner(x):
+        return math.nan if x[0, 0] > 0.4 else closeness(x)
+
+    cases = [  # (score, x0, iters, projection, expected acceptance)
+        (lambda x: -float(np.sum((x - far) ** 2)), np.zeros((2, 3)), 150, None, "high"),
+        (lambda x: 1.0, np.zeros((2, 3)), 150, None, "none"),
+        (rounded, np.zeros((2, 3)), 150, None, None),
+        (nan_corner, np.zeros((2, 3)), 150, None, None),
+        (nan_corner, np.ones((2, 3)), 150, None, "none"),  # a nan start accepts nothing
+        (closeness, np.zeros((2, 3)), 150, nonneg, None),
+        (closeness, MASK * 0.5, 150, MASK.__mul__, None),
+        (closeness, np.zeros((2, 3)), 0, None, "none"),
+        (closeness, np.zeros((2, 3)), 1, None, None),
+        (lambda x: -float(np.sum((x - 1.5) ** 2)), np.zeros(4), 150, None, None),
+    ]
+    for seed in range(4):
+        for score, x0, iters, project, acceptance in cases:
+            (x, val), (xa, va), accepts, stacks = _replay(score, x0, iters, seed, project)
+            assert np.array_equal(x, xa) and np.array_equal(val, va, equal_nan=True)
+            assert accepts <= len(stacks) <= accepts + 1 and sum(stacks) <= iters * (accepts + 1)
+            if acceptance == "high":
+                assert accepts > iters // 3
+            elif acceptance == "none":
+                assert accepts == 0 and x is x0
+    # the tie and nan cases accept something, so their rejections are tested
+    for score in (cases[2][0], cases[3][0]):
+        assert _replay(score, np.zeros((2, 3)), 150, 0)[2] > 0
