@@ -28,8 +28,9 @@ TOLERANCES = MappingProxyType({
     "q-convex": 1e-6, "renormed": 1e-9, "theta-product": 5e-2,
 })
 
-# the smallest normal float
+# the smallest normal float, and a bound: fewer than 2^34 terms below it have a finite sum
 _TINY = float(np.finfo(float).tiny)
+_BIG = 2.0 ** 990
 
 
 def derive_seed(seed: int, *tags) -> int:
@@ -137,35 +138,37 @@ def inv(p: float) -> float:
     return 0.0 if p == math.inf else 1.0 / p
 
 
-def _all_normal(s) -> bool:
-    """Whether every entry of s lies in the normal float range [tiny, inf)."""
-    if s.ndim == 0:
-        return _TINY <= s < math.inf
-    # a few entries are cheaper to bound in Python than with two numpy reductions
-    t = s.ravel().tolist() if s.size <= 64 else [s.min(), s.max()]
-    return not t or (_TINY <= min(t) and max(t) < math.inf)
-
-
 def lp_norm(x, p: float, axis=None):
     """(sum |x_i|^p)^(1/p) along ``axis`` (over all entries when None), with the
     max for p = inf; an empty reduction gives 0."""
     a = np.abs(np.asarray(x, dtype=float))
-    # ndarray methods: the same reductions as np.max/np.sum without their
-    # Python dispatch, which costs more than the sum on short vectors
+    # ndarray methods and ufunc reduce: the reductions of np.max/np.sum without
+    # their Python dispatch, which costs more than the sum on short vectors
     if p == math.inf:
         return a.max(axis=axis, initial=0.0)
     if p == 1:
         return a.sum(axis=axis)
-    s = (a ** p).sum(axis=axis)
+    # powers below _BIG have a finite sum, so only its low end needs a look; larger
+    # ones may overflow, silently, and are rescaled.  Short vectors are bounded in Python
+    top = max(a.tolist()) if a.ndim == 1 and 0 < len(a) <= 64 else a.max(initial=0.0)
+    if top < _BIG ** (1.0 / p):
+        s = np.add.reduce(a ** p, axis)
+        if (s if s.ndim == 0 else s.min(initial=math.inf)) >= _TINY:
+            return s ** (1.0 / p)
+        return _rescaled(a, p, axis, s)
+    with np.errstate(over="ignore"):
+        return _rescaled(a, p, axis, np.add.reduce(a ** p, axis))
+
+
+def _rescaled(a, p: float, axis, s):
+    """lp_norm of the moduli a from their power sums s, 1 < p < inf: a slice whose sum
+    left the normal float range (zero slices too) is summed again over its max entry."""
     out = s ** (1.0 / p)
-    if _all_normal(s):
-        return out
-    # the value is homogeneous in x: a slice whose sum of |x_i|^p left the
-    # normal float range (zero slices too) is summed again divided by its
-    # largest |x_i|
     if out.ndim == 0:
         top = a.max(initial=0.0)
-        return ((a / top) ** p).sum() ** (1.0 / p) * top if 0 < top < math.inf else out
+        if _TINY <= s < math.inf or not 0 < top < math.inf:
+            return out
+        return ((a / top) ** p).sum() ** (1.0 / p) * top
     redo = ~((_TINY <= s) & (s < math.inf))
     rows = np.moveaxis(a, axis, -1)[redo]
     top = rows.max(axis=-1, initial=0.0)

@@ -15,7 +15,9 @@ kind means adding one such class plus one entry in the kind table ``_KINDS``.
 
 Every kind evaluates its norm and dual norm exactly, by a closed form, a
 sorted scan or an LP, so :func:`eval_norm_detail` and :func:`eval_dual_norm`
-flag every value "exact".  The two Lorentz specs hold every Lorentz kernel:
+flag every value "exact"; no spec returns a flag.  Every kind but ``predual_of``
+evaluates a stack of vectors in one call (:meth:`NormSpec.eval_rows`).  The
+two Lorentz specs hold every Lorentz kernel:
 the norms with their maximizing sets and marginals, the ``[r]``-duals for all
 r >= 1 and the q,1-dual, each one pass along a sorted order, which the
 step-function API of :mod:`latticelab.lorentz` calls.  The dual of
@@ -153,16 +155,16 @@ class NormSpec:
     #: dimension the norm forces, or None when any dimension fits
     forced_dim: Optional[int] = None
 
-    def evaluate(self, v: np.ndarray) -> tuple:
-        """(||v||, "exact" | "lower")."""
-        raise NotImplementedError
+    def evaluate(self, v: np.ndarray) -> float:
+        """||v||, the one-row case of :meth:`eval_rows`."""
+        return float(self.eval_rows(v[None])[0])
 
     def eval_rows(self, mat: np.ndarray) -> np.ndarray:
         """||row|| for each row of a (k, n) stack."""
-        return np.array([self.evaluate(row)[0] for row in mat])
+        raise NotImplementedError
 
     def dual_norm(self, b: np.ndarray) -> tuple:
-        """(sup{<x, b> : ||x|| <= 1}, "exact" | "lower", a witness x)."""
+        """(sup{<x, b> : ||x|| <= 1}, a witness x)."""
         raise NotImplementedError
 
     def norming(self, a: np.ndarray) -> np.ndarray:
@@ -203,13 +205,14 @@ class Lp(NormSpec):
         object.__setattr__(self, "p", p)
 
     def evaluate(self, v):
-        return float(lp_norm(v, self.p)), "exact"
+        # scalar pow on the one power sum: the array pow of eval_rows may round it differently
+        return float(lp_norm(v, self.p))
 
     def eval_rows(self, mat):
         return lp_norm(mat, self.p, axis=1)
 
     def dual_norm(self, b):
-        return float(lp_norm(b, conjugate(self.p))), "exact", _lp_norming(self.p, b)
+        return float(lp_norm(b, conjugate(self.p))), _lp_norming(self.p, b)
 
     def norming(self, a):
         p = self.p
@@ -262,9 +265,6 @@ class WeightedLorentzPInfty(NormSpec):
     @property
     def forced_dim(self):
         return self.measure.dim
-
-    def evaluate(self, v):
-        return float(self.eval_rows(v[None])[0]), "exact"
 
     def eval_rows(self, mat):
         return self._scan(np.abs(mat))[0].max(axis=1)
@@ -326,7 +326,7 @@ class WeightedLorentzPInfty(NormSpec):
         order, mass = _density_order(a, w)
         u = np.zeros_like(a)
         u[order] = np.diff(mass ** (1.0 - 1.0 / self.p), prepend=0.0) / w[order]
-        return float(a @ u), "exact", sgn * u
+        return float(a @ u), sgn * u
 
     def norming(self, a):
         w = self.measure.as_array
@@ -367,9 +367,6 @@ class WeightedLorentzQ1(NormSpec):
     def forced_dim(self):
         return self.measure.dim
 
-    def evaluate(self, v):
-        return float(self.eval_rows(v[None])[0]), "exact"
-
     def eval_rows(self, mat):
         """q * sum_k m_k (T_k^{1/q} - T_{k-1}^{1/q}) along each row's decreasing
         order of moduli m; tied moduli are summed one atom at a time."""
@@ -401,7 +398,7 @@ class WeightedLorentzQ1(NormSpec):
         x = np.zeros_like(a)
         top = order[:k + 1]
         x[top] = np.where(b[top] < 0, -1.0, 1.0) / (q * mass[k] ** (1.0 / q))
-        return float(vals[k]), "exact", x
+        return float(vals[k]), x
 
     def norming(self, a):
         order, steps = self._steps(np.abs(a))
@@ -433,19 +430,19 @@ class LinfSum(NormSpec):
     def forced_dim(self):
         return sum(b.dim for b in self.blocks)
 
-    def evaluate(self, v):
-        return max([0.0, *_eval_blocks(self.blocks, v)]), "exact"
+    def eval_rows(self, mat):
+        return _block_rows(self.blocks, mat).max(axis=1, initial=0.0)
 
     def dual_norm(self, b):
         vals, wits = _dual_blocks(self.blocks, b)
         total = 0.0
         for val in vals:
             total += val
-        return total, "exact", np.concatenate(wits)
+        return total, np.concatenate(wits)
 
     def norming(self, a):
         pieces = _split_blocks(a, self.blocks)
-        i = int(np.argmax(_eval_blocks(self.blocks, a)))
+        i = int(np.argmax(_block_rows(self.blocks, a[None])[0]))
         out = [np.zeros(blk.dim) for blk in self.blocks]
         out[i] = norming_functional(self.blocks[i], pieces[i])
         return np.concatenate(out)
@@ -479,17 +476,17 @@ class BlockLorentz(NormSpec):
     def forced_dim(self):
         return sum(b.dim for b in self.blocks)
 
-    def evaluate(self, v):
-        return self.outer.evaluate(np.array(_eval_blocks(self.blocks, v)))
+    def eval_rows(self, mat):
+        return self.outer.eval_rows(_block_rows(self.blocks, mat))
 
     def dual_norm(self, b):
         t, wits = _dual_blocks(self.blocks, b)
-        val, side, s = self.outer.dual_norm(np.array(t))
-        return val, side, np.concatenate([s[k] * wits[k] for k in range(len(wits))])
+        val, s = self.outer.dual_norm(np.array(t))
+        return val, np.concatenate([s[k] * wits[k] for k in range(len(wits))])
 
     def norming(self, a):
         pieces = _split_blocks(a, self.blocks)
-        t = np.array(_eval_blocks(self.blocks, a))
+        t = _block_rows(self.blocks, a[None])[0]
         beta = self.outer.norming(t) if np.any(t > 0) else np.zeros(len(t))
         parts = []
         for k, (blk, piece) in enumerate(zip(self.blocks, pieces)):
@@ -528,22 +525,27 @@ class Example54Dual(NormSpec):
             raise LatticeSchemaError("p", f"p must lie in (1, inf), got {p}")
         object.__setattr__(self, "p", p)
 
-    def evaluate(self, v):
-        c, _, roots = self._roots(v)
-        return c * float(max(0.0, *roots)), "exact"
+    def eval_rows(self, mat):
+        c, _, roots = self._roots(np.abs(mat))
+        return c * roots.max(axis=1, initial=0.0)
 
-    def _roots(self, v: np.ndarray) -> tuple:
-        """(c, m, roots): the norm of v is c * max(roots), with roots the terms
-        at m = |v| / c.  c = 1 unless D^{p*} would leave [2^-512, 2^512] for the
-        largest pair sum D of |v|; then c = D, so the bases are at most 1."""
+    def _roots(self, m: np.ndarray) -> tuple:
+        """(c, m / c, roots) for moduli m (one vector, or a (k, 3) stack): a row's norm
+        is c * max(roots), its three terms at m / c.  Per row, c = 1 unless D^{p*} would
+        leave [2^-512, 2^512] for its largest pair sum D; then c = D, so bases are <= 1."""
         ps = conjugate(self.p)
-        m = np.abs(v)
-        top = float(m.sum() - m.min())
-        e = math.frexp(top)[1]
-        c = top if top > 0 and not (-512 <= (e - 1) * ps and e * ps <= 512) else 1.0
-        if c != 1.0:
-            m = m / c
-        return c, m, [(m[i] ** ps + (m[j] + m[k]) ** ps) ** (1.0 / ps) for i, j, k in _EXAMPLE54_INDEX]
+        top = m.sum(axis=-1) - m.min(axis=-1)
+        # every top in [lo, hi) keeps c = 1; a few tops are cheaper to bound in Python
+        lo, hi = 2.0 ** (1.0 - 512 / ps), 2.0 ** (512 / ps - 1.0)
+        tops = top.reshape(-1).tolist() if top.size <= 64 else [top.min(), top.max()]
+        c = 1.0
+        if not (lo <= min(tops) and max(tops) < hi):
+            e = np.frexp(top)[1]
+            c = np.where((top > 0) & ~((-512 <= (e - 1) * ps) & (e * ps <= 512)), top, 1.0)
+            m = m / c[..., None]
+        mt = m.T  # mt[i]: entry i of a vector (a scalar pow, as norming uses) or column i of a stack
+        roots = [(mt[i] ** ps + (mt[j] + mt[k]) ** ps) ** (1.0 / ps) for i, j, k in _EXAMPLE54_INDEX]
+        return c, m, np.stack(roots, axis=-1)
 
     def dual_norm(self, b):
         """sup{<x, b> : ||x|| <= 1}, exact in closed form.
@@ -583,11 +585,11 @@ class Example54Dual(NormSpec):
             u = 2.0 * t
         x = np.full(3, t)
         x[i] = u - t
-        return float(a @ x), "exact", np.where(b < 0, -1.0, 1.0) * x
+        return float(a @ x), np.where(b < 0, -1.0, 1.0) * x
 
     def norming(self, a):
         ps = conjugate(self.p)
-        _, m, vals = self._roots(a)
+        _, m, vals = self._roots(np.abs(a))
         arg = int(np.argmax(vals))
         best, (i, j, k) = vals[arg], _EXAMPLE54_INDEX[arg]
         b = np.zeros(3)
@@ -618,16 +620,15 @@ class PredualOf(NormSpec):
     def forced_dim(self):
         return self.inner.forced_dim
 
-    def evaluate(self, v):
-        return self.inner.dual_norm(v)[:2]
+    def eval_rows(self, mat):
+        return np.array([self.inner.dual_norm(row)[0] for row in mat])
 
     def dual_norm(self, b):
         # bipolar: the dual of the predual is the referenced norm itself
-        val, side = self.inner.evaluate(b)
-        return val, side, norming_functional(NormedLattice(b.shape[0], self.inner), b)
+        return self.inner.evaluate(b), norming_functional(NormedLattice(b.shape[0], self.inner), b)
 
     def norming(self, a):
-        return self.inner.dual_norm(a)[2]
+        return self.inner.dual_norm(a)[1]
 
     def dual_spec(self):
         return self.inner
@@ -651,11 +652,6 @@ class GaugeOf(NormSpec):
     def forced_dim(self):
         return self.body.dim
 
-    def evaluate(self, v):
-        from . import convexgeom
-
-        return convexgeom.gauge(self.body, v), "exact"
-
     def eval_rows(self, mat):
         from . import convexgeom
 
@@ -664,8 +660,7 @@ class GaugeOf(NormSpec):
     def dual_norm(self, b):
         from . import convexgeom
 
-        val, g = convexgeom.support_function_witness(self.body, b)
-        return val, "exact", g
+        return convexgeom.support_function_witness(self.body, b)
 
     def norming(self, a):
         from . import convexgeom
@@ -761,12 +756,12 @@ class ConstantEstimate:
 
 
 def eval_norm(X: NormedLattice, x) -> float:
-    return eval_norm_detail(X, x)[0]
+    return X.norm.evaluate(_vector_in(X, x))
 
 
 def eval_norm_detail(X: NormedLattice, x) -> tuple:
-    """Norm value plus a side flag: 'exact' or 'lower' (certified one-sided)."""
-    return X.norm.evaluate(_vector_in(X, x))
+    """Norm value plus its side flag, "exact" for every kind."""
+    return eval_norm(X, x), "exact"
 
 
 def _vector_in(X: NormedLattice, x) -> np.ndarray:
@@ -777,16 +772,17 @@ def _vector_in(X: NormedLattice, x) -> np.ndarray:
 
 
 def _split_blocks(v: np.ndarray, blocks) -> list:
+    """The consecutive blocks of the last axis of v."""
     out, pos = [], 0
     for blk in blocks:
-        out.append(v[pos:pos + blk.dim])
+        out.append(v[..., pos:pos + blk.dim])
         pos += blk.dim
     return out
 
 
-def _eval_blocks(blocks, v: np.ndarray) -> list:
-    """Norms of the consecutive blocks of v."""
-    return [blk.norm.evaluate(piece)[0] for blk, piece in zip(blocks, _split_blocks(v, blocks))]
+def _block_rows(blocks, mat: np.ndarray) -> np.ndarray:
+    """(k, len(blocks)) norms of the consecutive blocks of each row of a (k, n) stack."""
+    return np.column_stack([blk.norm.eval_rows(b) for blk, b in zip(blocks, _split_blocks(mat, blocks))])
 
 
 # ---------------------------------------------------------------------------
@@ -794,15 +790,16 @@ def _eval_blocks(blocks, v: np.ndarray) -> list:
 
 
 def eval_dual_norm(X: NormedLattice, b, budget: int = 2000, seed: int = 0) -> ConstantEstimate:
-    """sup{<x, b> : ||x||_X <= 1} with an exact/lower flag and a witness x;
-    ``budget`` and ``seed`` are only recorded, as no kind searches."""
-    return ConstantEstimate(*X.norm.dual_norm(_vector_in(X, b)), budget, seed)
+    """sup{<x, b> : ||x||_X <= 1}, flagged "exact" for every kind, with a
+    witness x; ``budget`` and ``seed`` are only recorded, as no kind searches."""
+    val, wit = X.norm.dual_norm(_vector_in(X, b))
+    return ConstantEstimate(val, "exact", wit, budget, seed)
 
 
 def _dual_blocks(blocks, b: np.ndarray) -> tuple:
     """(dual norms, witnesses) of the consecutive blocks of b."""
     ests = [blk.norm.dual_norm(piece) for blk, piece in zip(blocks, _split_blocks(b, blocks))]
-    vals, _, wits = zip(*ests)
+    vals, wits = zip(*ests)
     return vals, wits
 
 
@@ -880,7 +877,7 @@ def _dual_lorentz_pinfty_concave(spec, a, sgn) -> tuple:
     logv = lg[bid] + rel - np.log(np.add.reduceat(np.exp(rel), start))[bid]
     f = np.zeros(a.shape[0])
     f[idx] = np.exp((logv - logw) / r)
-    return float(a @ f), "exact", sgn * f
+    return float(a @ f), sgn * f
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def norm_pinfty_r(f: StepFunction, p: float, r: float) -> float:
 def norm_q1(f: StepFunction, q: float) -> float:
     """q * sum_k v_k (T_k^{1/q} - T_{k-1}^{1/q}), by
     :class:`~latticelab.core.WeightedLorentzQ1`."""
-    return WeightedLorentzQ1(q, f.measure).evaluate(f.as_array)[0]
+    return WeightedLorentzQ1(q, f.measure).evaluate(f.as_array)
 
 
 def check_renorming_sandwich(f: StepFunction, p: float, r: float,

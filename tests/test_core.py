@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latticelab as ll
-from latticelab._util import canonical_json
+from latticelab._util import canonical_json, conjugate
 
 CM = ll.AtomicMeasure.counting
 
@@ -19,7 +19,7 @@ def test_eval_norm_lp_examples():
     assert ll.eval_norm(ll.NormedLattice(3, ll.Lp(math.inf)), [1, -2, 0.5]) == pytest.approx(2.0, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error:overflow encountered")
 def test_lp_norms_scale_past_the_float_range():
     """|x|^p leaving the float range is summed divided by max |x_i|; values
     whose power sums stay in range keep the bits of the unscaled sum."""
@@ -33,13 +33,13 @@ def test_lp_norms_scale_past_the_float_range():
     assert ll.norming_functional(L2, [1e200, 1e200]) == pytest.approx([2 ** -0.5] * 2, rel=1e-15)
     rows = np.array([[3.0, 4.0], [1e200, 1e200], [0.0, 0.0], [1e-200, 0.0], [0.3, 1e-3]])
     got = ll.Lp(2).eval_rows(rows)
-    assert got[[0, 4]].tobytes() == ((rows ** 2).sum(axis=1) ** 0.5)[[0, 4]].tobytes()
+    assert got[[0, 4]].tobytes() == ((rows[[0, 4]] ** 2).sum(axis=1) ** 0.5).tobytes()
     assert got[1:4] == pytest.approx([math.sqrt(2) * 1e200, 0.0, 1e-200], rel=1e-15)
     v = np.array([0.3, 1e-3])
     assert ll.eval_norm(L2, v) == float((v ** 2).sum() ** 0.5)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # from the value, not the witness
+@pytest.mark.filterwarnings("error:overflow encountered")
 @pytest.mark.parametrize("p", [1.2, 1.5])
 @pytest.mark.parametrize("b", [(1e200, 1e200), (1e-200, 1e-200), (-3e200, 1e199),
                                (2e-200, -7e-201)])
@@ -548,7 +548,7 @@ PROTOCOL_LATTICES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error:overflow encountered")
 @pytest.mark.parametrize("name", list(PROTOCOL_LATTICES))
 def test_norm_spec_protocol(name):
     X = PROTOCOL_LATTICES[name]
@@ -559,7 +559,7 @@ def test_norm_spec_protocol(name):
         assert float(a @ b) == pytest.approx(ll.eval_norm(X, a), rel=1e-12)
         assert ll.eval_dual_norm(X, b).value <= 1 + 1e-12
     batched = spec.eval_rows(rows)
-    rowwise = np.array([spec.evaluate(row)[0] for row in rows])
+    rowwise = np.array([spec.evaluate(row) for row in rows])
     if isinstance(spec, ll.Lp):
         # one vectorised power sum: numpy's SIMD pow on arrays may round the
         # last bit differently from the scalar pow that evaluate uses
@@ -575,3 +575,56 @@ def test_norm_spec_protocol(name):
                                        rtol=1e-15, atol=0)
     assert ll.eval_norm_detail(X, rows[0])[1] == "exact"
     assert ll.eval_dual_norm(X, rows[0]).side == "exact"
+
+
+def test_every_kind_writes_its_own_stacked_kernel():
+    # evaluate is derived from eval_rows once, in the base class; Lp alone
+    # keeps a one-vector evaluate, for its scalar-pow root
+    for cls in ll.core._KINDS.values():
+        assert "eval_rows" in vars(cls), cls.kind
+        assert ("evaluate" in vars(cls)) == (cls is ll.Lp), cls.kind
+
+
+def _per_row_evaluate(spec, v):
+    """The one-vector evaluation of the block and Example 5.4 kinds before
+    their stacked kernels: blocks one by one, and the Example 5.4 terms with a
+    rescale decided for v alone."""
+    if isinstance(spec, ll.Example54Dual):
+        ps = conjugate(spec.p)
+        m = np.abs(v)
+        top = float(m.sum() - m.min())
+        e = math.frexp(top)[1]
+        c = top if top > 0 and not (-512 <= (e - 1) * ps and e * ps <= 512) else 1.0
+        m = m / c
+        return c * max(0.0, *[(m[i] ** ps + (m[j] + m[k]) ** ps) ** (1.0 / ps)
+                              for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))])
+    vals, pos = [], 0
+    for blk in spec.blocks:
+        vals.append(blk.norm.evaluate(v[pos:pos + blk.dim]))
+        pos += blk.dim
+    if isinstance(spec, ll.LinfSum):
+        return max([0.0, *vals])
+    return spec.outer.evaluate(np.array(vals))
+
+
+_STACKED_KINDS = {**{name: PROTOCOL_LATTICES[name] for name in
+                     ("linf_sum", "block_lorentz_lp", "block_lorentz_pinfty", "example54_dual")},
+                  "example54_dual_p1.3": _NL(3, ll.Example54Dual(1.3))}
+
+
+@pytest.mark.parametrize("name", list(_STACKED_KINDS))
+def test_stacked_kernels_match_the_per_row_evaluation(name):
+    # ordinary, zero and 2^+-600-scaled rows in one stack: every row is scaled
+    # on its own, so each must match its one-vector value
+    X = _STACKED_KINDS[name]
+    rng = np.random.default_rng(29)
+    rows = rng.standard_normal((40, X.dim))
+    rows[::5] = 0.0
+    rows[1::5] *= 2.0 ** 600
+    rows[2::5] *= 2.0 ** -600
+    rows[3::5, 0] = 0.0
+    got = X.norm.eval_rows(rows)
+    want = np.array([_per_row_evaluate(X.norm, row) for row in rows])
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    assert np.all(got[::5] == 0.0) and np.all(got[1::5] > 2.0 ** 590)
+    assert all(X.norm.evaluate(row) == got[i] for i, row in enumerate(rows))

@@ -173,7 +173,7 @@ def test_eval_rows_equals_row_by_row_evaluate(n):
         spec = ll.WeightedLorentzPInfty(p, r, w)
         rows = spec.eval_rows(mat)
         assert rows.shape == (9,)
-        assert all(rows[i] == spec.evaluate(mat[i])[0] for i in range(9))
+        assert all(rows[i] == spec.evaluate(mat[i]) for i in range(9))
         assert rows[1] == 0.0
 
 
