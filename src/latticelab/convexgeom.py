@@ -30,7 +30,6 @@ from .core import (
     SymmetricSeqNorm,
     as_vector,
     eval_dual_norm,
-    eval_norm,
     sigma_apply,
     sigma_dual,
     _built,
@@ -400,10 +399,19 @@ def _sphere_points(E: NormedLattice, budget: int, seed: int) -> np.ndarray:
         pts += list(rng.standard_normal((max(8, min(budget // 50, 200)), n)))
     out = []
     for x in pts:
-        nv = eval_norm(E, x)
+        nv = E.norm.evaluate(x)
         if nv > 1e-12:
             out.append(x / nv)
     return np.array(out)
+
+
+def _sigma_rows(sigma: SymmetricSeqNorm, fams) -> np.ndarray:
+    """sigma_apply of each (m, d) family, m <= 4, by one lp_norm call on the
+    zero-padded (K, 4, d) stack: the pads add exactly, bit for bit."""
+    stack = np.zeros((len(fams), 4, fams[0].shape[1]))
+    for k, fam in enumerate(fams):
+        stack[k, :len(fam)] = fam
+    return lp_norm(stack, sigma.p, axis=1)
 
 
 def _tau_weights(tau: SymmetricSeqNorm, m: int, rng) -> np.ndarray:
@@ -420,36 +428,45 @@ def build_C_body(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
     the sampled image of the unit ball)."""
     E = T.domain
     sphere = _sphere_points(E, budget, seed)
-    gens = [np.abs(T.apply(x)) for x in sphere]
+    gens = [np.abs(T.matrix @ x) for x in sphere]
     rng = rng_for(seed, "cbody", E.dim)
-    n_fam = max(8, budget // 20)
-    for _ in range(n_fam):
+    fams = []
+    for _ in range(max(8, budget // 20)):
         m = int(rng.integers(1, 5))
         dirs = sphere[rng.integers(0, len(sphere), size=m)]
         c = _tau_weights(tau, m, rng)
-        fam = [c[i] * dirs[i] for i in range(m)]
-        gens.append(sigma_apply(sigma, [T.apply(x) for x in fam]))
-    return SolidConvexBody(_prune_generators(np.array(gens)))
+        fams.append(np.array([T.matrix @ (c[i] * dirs[i]) for i in range(m)]))
+    return SolidConvexBody(_prune_generators(np.vstack([gens, _sigma_rows(sigma, fams)])))
 
 
 def _prune_generators(gens: np.ndarray, cap: int = 1000) -> np.ndarray:
-    """Drop exact duplicates and coordinatewise-dominated rows, then cap."""
+    """The moduli of the nonzero rows, rounded to 12 digits and deduplicated, in
+    decreasing order of row sum (an unstable sort of the rows in lexicographic
+    order), each kept unless a row kept before it covers it (row <= kept + 1e-12);
+    at most ``cap`` rows, and one zero row when all are zero.  Cover within 1e-12
+    is not transitive, so a row covered only by dropped rows is kept: blocks of
+    256 rows are pruned at once, with a loop over such rows only."""
     gens = np.abs(gens)
     keep = gens[np.any(gens > 0, axis=1)]
     if keep.size == 0:
         return np.zeros((1, gens.shape[1]))
-    keep = np.unique(np.round(keep, 12), axis=0)
-    order = np.argsort(-keep.sum(axis=1))
-    keep = keep[order]
-    out = np.empty((min(cap, len(keep)), keep.shape[1]))
-    n = 0
-    for row in keep:
-        if not np.any(np.all(row <= out[:n] + 1e-12, axis=1)):
-            out[n] = row
-            n += 1
-            if n >= cap:
-                break
-    return out[:n]
+    keep = np.round(keep, 12)
+    keep = keep[np.lexsort(keep.T[::-1])]
+    keep = keep[np.r_[True, np.any(keep[1:] != keep[:-1], axis=1)]]
+    keep = keep[np.argsort(-keep.sum(axis=1))]
+    out = keep[:0]
+    for start in range(0, len(keep), 256):
+        R = keep[start:start + 256].T
+        live = ~(R[:, :, None] <= out.T[:, None] + 1e-12).all(axis=0).any(axis=1)
+        # cover[i, j]: the earlier live row j covers row i
+        cover = (R[:, :, None] <= R[:, None] + 1e-12).all(axis=0) & np.tri(R.shape[1], k=-1, dtype=bool) & live
+        kept = live & ~cover.any(axis=1)
+        for i in np.flatnonzero(live & ~kept & ~(cover & kept).any(axis=1)):
+            kept[i] = not (cover[i] & kept).any()
+        out = np.vstack([out, R.T[kept][:cap - len(out)]])
+        if len(out) >= cap:
+            break
+    return out
 
 
 def _with_extra(body: SolidConvexBody, extra) -> SolidConvexBody:
@@ -820,7 +837,10 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
     """Y0 = gauge of the C body, U0 = T into Y0, V0 = inclusion back into X.
     ||U0|| <= 1 and ||V0|| <= K are certified on the samples baked into the
     body; the (tau, sigma)-convexity ratio of Y0 is checked on sampled
-    families, enriching the body by their union generators when needed."""
+    families, enriching the body by their union generators when needed.  sigma <
+    tau raises ValueError: m copies of one vector have ratio m^(1/sigma - 1/tau)."""
+    if sigma.p < tau.p:
+        raise ValueError(f"sigma = {sigma.p} < tau = {tau.p}: no finite (tau, sigma)-convexity constant")
     E, X = T.domain, T.codomain
     if not np.any(T.matrix != 0):
         zero_body = SolidConvexBody(np.zeros((1, X.dim)))
@@ -840,24 +860,23 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
     # bake in the U0 verification sample: unit vectors whose images must have
     # gauge <= 1 (each is a singleton admissible family of the true C set)
     u_samples = []
-    for _ in range(60):
-        x = rng.standard_normal(E.dim)
-        nv = eval_norm(E, x)
+    for x in rng.standard_normal((60, E.dim)):
+        nv = E.norm.evaluate(x)
         if nv > 1e-12:
             u_samples.append(x / nv)
-    body = _with_extra(body, [np.abs(T.apply(x)) for x in u_samples])
+    u_images = [T.matrix @ x for x in u_samples]
+    body = _with_extra(body, np.abs(u_images))
 
     # closure rounds: add scaled-union generators so the body is closed under
     # the family operations the convexity check will sample
     for round_ in range(2):
         gens = body.gen_matrix
-        extra = []
+        fams = []
         for _ in range(max(40, budget // 40)):
             m = int(rng.integers(2, 5))
             picks = rng.integers(0, len(gens), size=m)
-            c = _tau_weights(tau, m, rng)
-            extra.append(sigma_apply(sigma, c[:, None] * gens[picks]))
-        body = _with_extra(body, extra)
+            fams.append(_tau_weights(tau, m, rng)[:, None] * gens[picks])
+        body = _with_extra(body, _sigma_rows(sigma, fams))
 
     # convexity certificate: a fixed sample of families (general and
     # disjointly supported), repaired to a fixpoint by adding the normalized
@@ -959,7 +978,7 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
     U = LinOperator(T.matrix.copy(), E, Y)
     V = LinOperator(np.eye(X.dim), Y, X)
 
-    u0_max = float(gauges([T.apply(x) for x in u_samples])[0].max(initial=0.0))
+    u0_max = float(gauges(u_images)[0].max(initial=0.0))
     # K: estimated (tau, sigma)-convexity constant of T = max family ratio;
     # generator families realize their own ratios, so K >= ||g||_X on gauge-1 g
     from .constants import _max_ratio
@@ -969,7 +988,7 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
     v0_max = 0.0
     for g, gv in zip(body.gen_matrix, gauges(body.gen_matrix)[0]):
         if gv > 1e-12:
-            v0_max = max(v0_max, float(eval_norm(X, g) / gv))
+            v0_max = max(v0_max, float(X.norm.evaluate(g) / gv))
     K = max(K, v0_max)
 
     report = {

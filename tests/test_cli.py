@@ -295,6 +295,14 @@ def test_geom_min_factor_command(tmp_path, capsys):
     assert rep["U_matrix"] == [[2, 0], [0, 1]]
 
 
+def test_geom_min_factor_refuses_sigma_below_tau(tmp_path, capsys):
+    op = write_doc(tmp_path, "op.json", OP_DIAG)
+    code, out, err = run_cli(["geom", "min-factor", "--op", op, "--tau", "2",
+                              "--sigma", "1.5", "--budget", "500", "--families", "40"], capsys)
+    assert code == 1 and out == ""
+    assert "sigma = 1.5 < tau = 2.0" in err
+
+
 def test_geom_interpolate_command(tmp_path, capsys):
     b0 = write_doc(tmp_path, "b0.json", {"generators": [[1.0, 0.0], [0.0, 1.0], [0.8, 0.8]]})
     b1 = write_doc(tmp_path, "b1.json", {"generators": [[1.0, 0.2], [0.3, 1.0]]})

@@ -24,6 +24,7 @@ from latticelab.convexgeom import (
     _option_orbits,
     _probe_scales,
     _prune_generators,
+    _sigma_rows,
     _signs,
     _sphere_points,
     _tau_weights,
@@ -518,8 +519,10 @@ def test_c_body_generators_within_convexity_constant():
         assert ll.gauge(body, g) >= ll.eval_norm(E, g) - 1e-9
 
 
-def _prune_generators_loop(gens, cap=1000):
-    """The pairwise dominance loop that _prune_generators replaces."""
+def _prune_generators_loop(gens, cap=1000, by_kept=True):
+    """The pairwise dominance loop that _prune_generators replaces.  With
+    by_kept=False, the shortcut that drops a row covered by any earlier row,
+    kept or not, which differs because cover within 1e-12 is not transitive."""
     gens = np.abs(gens)
     keep = gens[np.any(gens > 0, axis=1)]
     if keep.size == 0:
@@ -527,16 +530,22 @@ def _prune_generators_loop(gens, cap=1000):
     keep = np.unique(np.round(keep, 12), axis=0)
     keep = keep[np.argsort(-keep.sum(axis=1))]
     out = []
-    for row in keep:
-        if not any(np.all(row <= prev + 1e-12) for prev in out):
+    for i, row in enumerate(keep):
+        if not any(np.all(row <= prev + 1e-12) for prev in (out if by_kept else keep[:i])):
             out.append(row)
         if len(out) >= cap:
             break
     return np.array(out)
 
 
+def _near_ties(rng, k, d):
+    """k rows of one base row in [0.5, 1]^d plus integer multiples of 1e-12."""
+    return rng.uniform(0.5, 1.0, d) + rng.integers(-3, 4, size=(k, d)) * 1e-12
+
+
 def test_prune_generators_matches_pairwise_loop():
     rng = np.random.default_rng(31)
+    corpus = []
     for i in range(200):
         k, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
         gens = rng.standard_normal((k, d))
@@ -547,9 +556,45 @@ def test_prune_generators_matches_pairwise_loop():
             gens[rng.random(k) < 0.3] = 0.0
         elif i % 4 == 3:
             gens = np.zeros((k, d))
-        cap = int(rng.integers(1, 8)) if i % 5 == 0 else 1000
+        corpus.append((gens, int(rng.integers(1, 8)) if i % 5 == 0 else 1000))
+    near_ties = [_near_ties(rng, int(rng.integers(2, 40)), i % 4 + 1) for i in range(200)]
+    corpus += [(gens, 1000) for gens in near_ties]
+    for d in range(1, 5):
+        # past one 256-row block: few survivors, with a near-tie cluster among them
+        k = int(rng.integers(300, 700))
+        corpus.append((np.vstack([rng.standard_normal((k, d)), _near_ties(rng, 40, d)]), 1000))
+    for d in range(2, 5):
+        # every row survives, so the cap binds inside the second block
+        gens = np.abs(rng.standard_normal((int(rng.integers(300, 450)), d)))
+        corpus.append((gens / np.linalg.norm(gens, axis=1, keepdims=True), int(rng.integers(257, 300))))
+    for gens, cap in corpus:
         got, want = _prune_generators(gens, cap), _prune_generators_loop(gens, cap)
         assert got.shape == want.shape and np.array_equal(got, want)
+    assert len(got) == cap    # the last input is cut by its cap
+    # the corpus tells the rule from the transitive shortcut
+    assert any(_prune_generators_loop(gens).shape != _prune_generators_loop(gens, by_kept=False).shape
+               for gens in near_ties)
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
+def test_sigma_rows_match_sigma_apply_per_family(p, monkeypatch):
+    """One padded lp_norm call equals sigma_apply on each family bit for bit,
+    also where lp_norm rescales: rows at 2^+-600 and 2^+-700 share the stack."""
+    import latticelab._util as util
+
+    sigma = ll.SymmetricSeqNorm(p)
+    rng = np.random.default_rng(7)
+    scales = (1.0, 2.0 ** 600, 2.0 ** -600, 2.0 ** 700, 2.0 ** -700)
+    fams = []
+    for i in range(400):
+        fam = rng.standard_normal((int(rng.integers(1, 5)), 3)) * scales[i % 5]
+        fam[rng.random(fam.shape) < 0.2] = 0.0
+        fams.append(fam)
+    want = np.array([ll.sigma_apply(sigma, list(fam)) for fam in fams])
+    rescale, calls = util._rescaled, []
+    monkeypatch.setattr(util, "_rescaled", lambda *args: calls.append(1) or rescale(*args))
+    assert np.array_equal(_sigma_rows(sigma, fams), want)
+    assert bool(calls) == (1 < p < math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -974,6 +1019,15 @@ def test_minimal_factorization_zero_operator_is_trivial():
                                        L2, L2, budget=100, seed=0)
     assert F.report["trivial"]
     assert F.report["norm_checks"] == {"U0": 0.0, "V0": 0.0, "convexity_ratio_max": 0.0}
+
+
+@pytest.mark.parametrize("tau,sigma", [(2.0, 1.5), (math.inf, 3.0), (1.5, 1.0)])
+def test_minimal_factorization_refuses_sigma_below_tau(tau, sigma):
+    # m copies of one vector have ratio m^(1/sigma - 1/tau): no finite constant
+    T = ll.LinOperator(np.array([[1.0, 0.5], [0.0, 1.0]]), lp_lattice(2, 2), lp_lattice(2, 3))
+    with pytest.raises(ValueError, match="no finite"):
+        ll.build_minimal_factorization(T, ll.SymmetricSeqNorm(tau), ll.SymmetricSeqNorm(sigma),
+                                       budget=60, seed=0, check_families=10)
 
 
 def test_factorization_report_is_json_ready():
