@@ -160,6 +160,18 @@ def lp_norm(x, p: float, axis=None):
         return _rescaled(a, p, axis, np.add.reduce(a ** p, axis))
 
 
+def lp_rows(mat, p: float) -> np.ndarray:
+    """lp_norm of each row of a (k, n) stack, bit for bit the one-vector value: one
+    scalar pow per root (the array pow of ``lp_norm(mat, p, axis=1)`` may round differently)."""
+    if p == math.inf or p == 1:
+        return lp_norm(mat, p, axis=1)
+    a = np.abs(mat)
+    with np.errstate(over="ignore"):  # a row whose power sum overflows is redone below
+        sums = np.add.reduce(a ** p, 1).tolist()
+    return np.array([s ** (1.0 / p) if _TINY <= s < math.inf else float(lp_norm(row, p))
+                     for s, row in zip(sums, a)])
+
+
 def _rescaled(a, p: float, axis, s):
     """lp_norm of the moduli a from their power sums s, 1 < p < inf: a slice whose sum
     left the normal float range (zero slices too) is summed again over its max entry."""

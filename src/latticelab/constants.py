@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import _TINY, TOLERANCES, climb_lockstep, conjugate, inv, lp_norm, rng_for
+from ._util import TOLERANCES, climb_lockstep, conjugate, inv, lp_norm, lp_rows, rng_for
 from .core import (
     AtomicMeasure,
     BlockLorentz,
@@ -120,14 +120,6 @@ def _stack(mats) -> tuple:
     return stack, [(np.flatnonzero(counts == m), m) for m in sorted(set(counts.tolist()))]
 
 
-def _tau_rows(v: np.ndarray, p: float) -> np.ndarray:
-    """Each row's one-vector ``lp_norm``, root by scalar pow (array pow may differ by an ulp)."""
-    if p == math.inf or p == 1:
-        return lp_norm(v, p, axis=1)
-    return np.array([s ** (1.0 / p) if _TINY <= s < math.inf else float(lp_norm(v[i], p))
-                     for i, s in enumerate((v ** p).sum(axis=1).tolist())])
-
-
 def _ratios(T: LinOperator, params, stack: np.ndarray, groups) -> np.ndarray:
     """The ratio of each family of a :func:`_stack`, bit for bit the float of
     the one-family ratio, or -inf where its denominator is <= 0.  Finiteness
@@ -143,7 +135,7 @@ def _ratios(T: LinOperator, params, stack: np.ndarray, groups) -> np.ndarray:
     taus, at = np.empty(len(stack)), 0
     sig = np.empty((len(stack), (T.codomain if convex else T.domain).dim))
     for (idx, m), fam, img in zip(groups, fams, imgs):
-        taus[idx] = _tau_rows(row_norms[at:at + len(fam) * m].reshape(-1, m), tau)
+        taus[idx] = lp_rows(row_norms[at:at + len(fam) * m].reshape(-1, m), tau)
         at += len(fam) * m
         sig[idx] = lp_norm(img if convex else fam, sigma, axis=1)
     num, den = (T.codomain.norm.eval_rows(sig), taus) if convex else (taus, T.domain.norm.eval_rows(sig))

@@ -893,7 +893,8 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
             labels = rng.integers(0, m, size=X.dim)
             fam = [np.where(labels == i, fam[i], 0.0) for i in range(m)]
         if any(np.any(f != 0) for f in fam):
-            fams.append(fam)
+            fams.append(np.array(fam))
+    svs = _sigma_rows(sigma, fams) if fams else []  # fixed for the whole repair
     # one stacked gauge call scores a family's members and its sigma-vector;
     # work counts the rows each path served (see _gauge_stack)
     work = dict.fromkeys(_GAUGE_WORK, 0)
@@ -904,13 +905,12 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
             work[key] += n
         return values, Z
 
-    def family_ratio(fam):
-        sv = sigma_apply(sigma, fam)
+    def family_ratio(fam, sv):
         values = gauges([*fam, sv])[0]
         den = tau(values[:-1])
         return 0.0 if den <= 1e-12 else float(values[-1] / den)
 
-    def family_fixpoint(fam):
+    def family_fixpoint(fam, sv):
         """Ratio now, plus the limit of renormalizing sv against its own append.
 
         Adding sv/t shrinks member gauges, which lowers the honest scale t;
@@ -919,7 +919,6 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
         inside the decomposition set, so each candidate (and the limit)
         stays inside it; only the last one is handed back.
         """
-        sv = sigma_apply(sigma, fam)
         values, Z = gauges([*fam, sv])
         den = tau(values[:-1])
         if den <= 1e-12:
@@ -950,15 +949,15 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
     repair_exit = "budget"
     for rounds in range(1, 41):
         sweep_max = 0.0
-        for fi, fam in enumerate(fams):
-            val, gen = family_fixpoint(fam)
+        for fi, (fam, sv) in enumerate(zip(fams, svs)):
+            val, gen = family_fixpoint(fam, sv)
             sweep_max = max(sweep_max, val)
             if gen is not None:
                 slots[fi] = gen
                 body = rebuild()
         if sweep_max <= 1 + 3e-7:
             # sweep ratios are pre-update; settle the figure on the final body
-            ratio_max = max((family_ratio(fam) for fam in fams), default=0.0)
+            ratio_max = max(map(family_ratio, fams, svs), default=0.0)
             if ratio_max <= 1 + 1e-6:
                 repair_exit = "converged"
                 break
@@ -972,7 +971,7 @@ def build_minimal_factorization(T: LinOperator, tau: SymmetricSeqNorm, sigma: Sy
             stalls = 0
             best_excess = excess
     if repair_exit != "converged":
-        ratio_max = max((family_ratio(fam) for fam in fams), default=0.0)
+        ratio_max = max(map(family_ratio, fams, svs), default=0.0)
 
     Y = NormedLattice(X.dim, GaugeOf(body))
     U = LinOperator(T.matrix.copy(), E, Y)

@@ -15,9 +15,10 @@ kind means adding one such class plus one entry in the kind table ``_KINDS``.
 
 Every kind evaluates its norm and dual norm exactly, by a closed form, a
 sorted scan or an LP, so :func:`eval_norm_detail` and :func:`eval_dual_norm`
-flag every value "exact"; no spec returns a flag.  Every kind but ``predual_of``
-evaluates a stack of vectors in one call (:meth:`NormSpec.eval_rows`).  The
-two Lorentz specs hold every Lorentz kernel:
+flag every value "exact"; no spec returns a flag.  Every kind evaluates the
+norms and dual norms of a stack of vectors (:meth:`NormSpec.eval_rows`,
+:meth:`NormSpec.dual_rows`); only the ``[r]``-dual (r > 1) and the Example 5.4
+dual loop over the rows.  The two Lorentz specs hold every Lorentz kernel:
 the norms with their maximizing sets and marginals, the ``[r]``-duals for all
 r >= 1 and the q,1-dual, each one pass along a sorted order, which the
 step-function API of :mod:`latticelab.lorentz` calls.  The dual of
@@ -35,7 +36,7 @@ import numpy as np
 # unused here: kept only because perfbench/tracer.py wraps both solvers by name
 from scipy.optimize import linprog, minimize  # noqa: F401
 
-from ._util import conjugate, inv, lp_norm
+from ._util import conjugate, inv, lp_norm, lp_rows
 
 __all__ = [
     "AtomicMeasure",
@@ -167,6 +168,10 @@ class NormSpec:
         """(sup{<x, b> : ||x|| <= 1}, a witness x)."""
         raise NotImplementedError
 
+    def dual_rows(self, mat: np.ndarray) -> np.ndarray:
+        """||row||_* for each row of a (k, n) stack, bit for bit ``dual_norm(row)[0]``."""
+        raise NotImplementedError
+
     def norming(self, a: np.ndarray) -> np.ndarray:
         """b with ||b||_* <= 1 and <a, b> = ||a||, for a != 0."""
         raise NotImplementedError
@@ -213,6 +218,9 @@ class Lp(NormSpec):
 
     def dual_norm(self, b):
         return float(lp_norm(b, conjugate(self.p))), _lp_norming(self.p, b)
+
+    def dual_rows(self, mat):
+        return lp_rows(mat, conjugate(self.p))
 
     def norming(self, a):
         p = self.p
@@ -316,17 +324,27 @@ class WeightedLorentzPInfty(NormSpec):
 
     def dual_norm(self, b):
         a = np.abs(b)
-        sgn = np.where(b < 0, -1.0, 1.0)
+        u = _dual_lorentz_pinfty_concave(self, a) if self.r > 1 else self._greedy(a[None])[0]
+        return float(a @ u), np.where(b < 0, -1.0, 1.0) * u
+
+    def dual_rows(self, mat):
+        a = np.abs(mat)
         if self.r > 1:
-            return _dual_lorentz_pinfty_concave(self, a, sgn)
-        # with v = w u the [1]-ball is {v >= 0 : v(A) <= mu(A)^{1/p*}}, a polymatroid
-        # (a concave power of a modular function is submodular), so Edmonds' greedy
-        # along decreasing |b_i|/w_i maximizes <|b|, u> exactly (Edmonds 1970)
+            return np.array([row @ _dual_lorentz_pinfty_concave(self, row) for row in a], dtype=float)
+        # a batched (1, n) @ (n, 1) product per row: the dot that dual_norm takes
+        return (a[:, None, :] @ self._greedy(a)[:, :, None])[:, 0, 0]
+
+    def _greedy(self, a: np.ndarray) -> np.ndarray:
+        """The [1]-ball point u maximizing <a_k, u> for each row a_k of a (k, n) stack of
+        moduli: with v = w u the ball is the polymatroid {v >= 0 : v(A) <= mu(A)^{1/p*}}
+        (mu^{1/p*} is submodular), so Edmonds' greedy by decreasing a_i/w_i is exact (1970)."""
         w = self.measure.as_array
         order, mass = _density_order(a, w)
-        u = np.zeros_like(a)
-        u[order] = np.diff(mass ** (1.0 - 1.0 / self.p), prepend=0.0) / w[order]
-        return float(a @ u), sgn * u
+        inc = mass ** (1.0 - 1.0 / self.p)
+        inc[:, 1:] -= inc[:, :-1]
+        u = np.empty_like(a)
+        u[np.arange(len(a))[:, None], order] = inc / w[order]
+        return u
 
     def norming(self, a):
         w = self.measure.as_array
@@ -389,16 +407,31 @@ class WeightedLorentzQ1(NormSpec):
         is max_A sum_{i in A} |b_i| / (q mu(A)^{1/q}).  As for the [r]-norm, that
         max is attained at a superlevel set, here of the density |b_i|/w_i: one
         prefix scan of the density order is exact at every atom count."""
-        w = self.measure.as_array
-        a = np.abs(b)
-        q = self.q
-        order, mass = _density_order(a, w)
-        vals = np.cumsum(a[order]) / (q * mass ** (1.0 / q))
-        k = int(np.argmax(vals))
-        x = np.zeros_like(a)
+        vals, order, mass = self._dual_scan(np.abs(b))
+        k = int(vals.argmax())
+        x = np.zeros(b.shape[0])
         top = order[:k + 1]
-        x[top] = np.where(b[top] < 0, -1.0, 1.0) / (q * mass[k] ** (1.0 / q))
+        x[top] = np.where(b[top] < 0, -1.0, 1.0) / (self.q * mass[k] ** (1.0 / self.q))
         return float(vals[k]), x
+
+    def dual_rows(self, mat):
+        return self._dual_scan(np.abs(mat))[0].max(axis=1)
+
+    def _dual_scan(self, a: np.ndarray) -> tuple:
+        """(vals, order, mass) for moduli a (a vector or a (k, n) stack): ``order`` sorts
+        each row by decreasing density a_i/w_i, with prefix masses ``mass``, and a row's
+        dual norm is the max of its vals, a(A) / (q mu(A)^{1/q}) on A = ``order[..., :j + 1]``.
+        A row whose top modulus exceeds 2^512, where the prefix sums could overflow, is
+        scanned divided by a power of two near it and multiplied back, which is exact."""
+        order, mass = _density_order(a, self.measure.as_array)
+        scale = None
+        if a.max(initial=0.0) > 2.0 ** 512:
+            tops = a.max(axis=-1, keepdims=True)
+            scale = np.where(tops > 2.0 ** 512, np.ldexp(1.0, np.frexp(tops)[1] - 1), 1.0)
+            a = a / scale
+        sums = (a[order] if a.ndim == 1 else a[np.arange(len(a))[:, None], order]).cumsum(axis=-1)
+        vals = sums / (self.q * mass ** (1.0 / self.q))
+        return (vals if scale is None else vals * scale), order, mass
 
     def norming(self, a):
         order, steps = self._steps(np.abs(a))
@@ -431,18 +464,19 @@ class LinfSum(NormSpec):
         return sum(b.dim for b in self.blocks)
 
     def eval_rows(self, mat):
-        return _block_rows(self.blocks, mat).max(axis=1, initial=0.0)
+        return _block_rows(self.blocks, mat, "eval_rows").max(axis=1, initial=0.0)
 
     def dual_norm(self, b):
         vals, wits = _dual_blocks(self.blocks, b)
-        total = 0.0
-        for val in vals:
-            total += val
-        return total, np.concatenate(wits)
+        return float(np.cumsum(vals)[-1]), np.concatenate(wits)
+
+    def dual_rows(self, mat):
+        # summed in block order, as dual_norm sums (a pairwise .sum may round otherwise)
+        return _block_rows(self.blocks, mat, "dual_rows").cumsum(axis=1)[:, -1]
 
     def norming(self, a):
         pieces = _split_blocks(a, self.blocks)
-        i = int(np.argmax(_block_rows(self.blocks, a[None])[0]))
+        i = int(np.argmax(_block_rows(self.blocks, a[None], "eval_rows")[0]))
         out = [np.zeros(blk.dim) for blk in self.blocks]
         out[i] = norming_functional(self.blocks[i], pieces[i])
         return np.concatenate(out)
@@ -477,16 +511,19 @@ class BlockLorentz(NormSpec):
         return sum(b.dim for b in self.blocks)
 
     def eval_rows(self, mat):
-        return self.outer.eval_rows(_block_rows(self.blocks, mat))
+        return self.outer.eval_rows(_block_rows(self.blocks, mat, "eval_rows"))
 
     def dual_norm(self, b):
         t, wits = _dual_blocks(self.blocks, b)
         val, s = self.outer.dual_norm(np.array(t))
         return val, np.concatenate([s[k] * wits[k] for k in range(len(wits))])
 
+    def dual_rows(self, mat):
+        return self.outer.dual_rows(_block_rows(self.blocks, mat, "dual_rows"))
+
     def norming(self, a):
         pieces = _split_blocks(a, self.blocks)
-        t = _block_rows(self.blocks, a[None])[0]
+        t = _block_rows(self.blocks, a[None], "eval_rows")[0]
         beta = self.outer.norming(t) if np.any(t > 0) else np.zeros(len(t))
         parts = []
         for k, (blk, piece) in enumerate(zip(self.blocks, pieces)):
@@ -587,6 +624,10 @@ class Example54Dual(NormSpec):
         x[i] = u - t
         return float(a @ x), np.where(b < 0, -1.0, 1.0) * x
 
+    def dual_rows(self, mat):
+        # row by row: the closed form's scalar pows, which array pows may round differently
+        return np.array([self.dual_norm(row)[0] for row in mat], dtype=float)
+
     def norming(self, a):
         ps = conjugate(self.p)
         _, m, vals = self._roots(np.abs(a))
@@ -621,10 +662,13 @@ class PredualOf(NormSpec):
         return self.inner.forced_dim
 
     def eval_rows(self, mat):
-        return np.array([self.inner.dual_norm(row)[0] for row in mat])
+        return self.inner.dual_rows(mat)
+
+    def dual_rows(self, mat):
+        # bipolar: the dual of the predual is the referenced norm itself
+        return self.inner.eval_rows(mat)
 
     def dual_norm(self, b):
-        # bipolar: the dual of the predual is the referenced norm itself
         return self.inner.evaluate(b), norming_functional(NormedLattice(b.shape[0], self.inner), b)
 
     def norming(self, a):
@@ -661,6 +705,10 @@ class GaugeOf(NormSpec):
         from . import convexgeom
 
         return convexgeom.support_function_witness(self.body, b)
+
+    def dual_rows(self, mat):
+        # one (g, n) @ (n, 1) product per row: the gemv of support_function_witness
+        return (self.body.gen_matrix[None] @ np.abs(mat)[:, :, None])[:, :, 0].max(axis=1)
 
     def norming(self, a):
         from . import convexgeom
@@ -780,9 +828,10 @@ def _split_blocks(v: np.ndarray, blocks) -> list:
     return out
 
 
-def _block_rows(blocks, mat: np.ndarray) -> np.ndarray:
-    """(k, len(blocks)) norms of the consecutive blocks of each row of a (k, n) stack."""
-    return np.column_stack([blk.norm.eval_rows(b) for blk, b in zip(blocks, _split_blocks(mat, blocks))])
+def _block_rows(blocks, mat: np.ndarray, method: str) -> np.ndarray:
+    """(k, len(blocks)): ``method``, eval_rows or dual_rows, on the blocks of a (k, n) stack."""
+    pieces = _split_blocks(mat, blocks)
+    return np.column_stack([getattr(blk.norm, method)(b) for blk, b in zip(blocks, pieces)])
 
 
 # ---------------------------------------------------------------------------
@@ -826,19 +875,20 @@ def _lp_norming(p_of_ball: float, b: np.ndarray) -> np.ndarray:
 
 
 def _density_order(a: np.ndarray, w: np.ndarray) -> tuple:
-    """Atoms in decreasing order of the density a_i/w_i (ties by index), with
-    the prefix masses of w along that order.  When some a_i/w_i overflows to
-    inf, the order is that of log w_i - log a_i, which keeps such atoms apart."""
-    dens = a / w  # numpy warns of the overflow, which the log order then handles
-    if dens.size and dens.max() == math.inf:
+    """The atoms of each row of a (a vector or a (k, n) stack) by decreasing density
+    a_i/w_i (ties by index), with the prefix masses of w in that order.  A row where
+    some a_i/w_i overflows to inf is ordered by log w_i - log a_i, keeping those apart."""
+    with np.errstate(over="ignore"):  # the log order handles the overflow
+        dens = a / w
+    order = (-dens).argsort(axis=-1, kind="stable")
+    if dens.max(initial=0.0) == math.inf:
+        big = dens.max(axis=-1) == math.inf  # a vector's 0-d True indexes it as one row
         with np.errstate(divide="ignore"):  # a_i = 0 sorts last
-            order = np.argsort(np.log(w) - np.log(a), kind="stable")
-    else:
-        order = np.argsort(-dens, kind="stable")
-    return order, np.cumsum(w[order])
+            order[big] = (np.log(w) - np.log(a[big])).argsort(axis=-1, kind="stable")
+    return order, w[order].cumsum(axis=-1)
 
 
-def _dual_lorentz_pinfty_concave(spec, a, sgn) -> tuple:
+def _dual_lorentz_pinfty_concave(spec, a) -> np.ndarray:
     """r > 1, exact: with v_i = w_i |f_i|^r the [r]-ball is the polymatroid
     {v >= 0 : v(A) <= g(mu(A))}, g(m) = m^{1 - r/p}, and <a, |f|> is
     sum_i c_i^{1 - 1/r} v_i^{1/r} with c_i = (a_i/w_i)^{r/(r-1)} w_i.  Its maximizer
@@ -870,14 +920,14 @@ def _dual_lorentz_pinfty_concave(spec, a, sgn) -> tuple:
         blocks.append((bc, bg, i))
     _, lg, start = np.array(blocks, dtype=float).reshape(-1, 3).T
     start = start.astype(int)
-    bid = np.repeat(np.arange(start.size), np.diff(start, append=logc.size))
+    bid = start.searchsorted(np.arange(logc.size), side="right") - 1  # each atom's block
     # log(c_i / c(B)) taken from each block's largest c_i, so the shares sum
     # to 1 to rounding even where |log c| is large and its ulp coarse
     rel = logc - np.maximum.reduceat(logc, start)[bid]
     logv = lg[bid] + rel - np.log(np.add.reduceat(np.exp(rel), start))[bid]
     f = np.zeros(a.shape[0])
     f[idx] = np.exp((logv - logw) / r)
-    return float(a @ f), sgn * f
+    return f
 
 
 # ---------------------------------------------------------------------------

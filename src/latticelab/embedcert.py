@@ -5,7 +5,8 @@ exactly when, for every normalized a >= 0, there are b in X*_+ and a simplex
 vector d with <a, b> close to 1 and, for every coordinate subset I,
 ||b restricted to I||^{p*} <= C^{p*} sum_{i in I} d_i.  The certificate side
 is searched (one-sided); refutations come from the covering-family bound,
-which is a genuine lower bound on any embedding constant.
+which is a genuine lower bound on any embedding constant.  The dual norms of
+the 2^n - 1 restrictions of b are one ``dual_rows`` call on its masked copies.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from ._util import TOLERANCES, conjugate, hill_climb, rng_for
 from .core import (
     NormedLattice,
     NormSpec,
+    _vector_in,
     as_vector,
-    eval_dual_norm,
     eval_norm,
     norming_functional,
 )
@@ -117,10 +118,6 @@ class CoveringFamily:
             raise ValueError(f"covering multiplicities {counts.tolist()} != {self.l} everywhere")
 
 
-def _subset_dual_norms(X: NormedLattice, b: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    return np.array([eval_dual_norm(X, b * m).value for m in masks])
-
-
 def _best_scaling(norms_ps: np.ndarray, masks: np.ndarray):
     """max lambda with sum_{i in I} d_i >= lambda * ||b_I||^{p*} solvable on
     the simplex; one LP in (d, lambda)."""
@@ -144,9 +141,7 @@ def t41_check(X: NormedLattice, p: float, C: float, a, epsilon: float = 1e-3,
               budget: int = 2000, seed: int = 0):
     """Search for a certificate (b, d); returns one, or a report with the
     best pairing reached.  Failure to find is not a proof of infeasibility."""
-    a = as_vector(a)
-    if a.shape[0] != X.dim:
-        raise ValueError("dimension mismatch")
+    a = _vector_in(X, a)
     if np.any(a < 0):
         raise ValueError("a must be nonnegative")
     if C < 1:
@@ -163,8 +158,7 @@ def t41_check(X: NormedLattice, p: float, C: float, a, epsilon: float = 1e-3,
         bdir = np.maximum(direction, 0.0)
         if not np.any(bdir > 0):
             return 0.0, None, None
-        norms = _subset_dual_norms(X, bdir, masks)
-        lam, d = _best_scaling(norms ** ps, masks)
+        lam, d = _best_scaling(X.norm.dual_rows(bdir * masks) ** ps, masks)
         if lam <= 0:
             return 0.0, None, None
         t = C * lam ** (1.0 / ps)
@@ -188,8 +182,7 @@ def t41_check(X: NormedLattice, p: float, C: float, a, epsilon: float = 1e-3,
         _, best_b, best_d = evaluate(best_dir)
         # shave a hair so re-validated margins clear the tolerance strictly
         b = best_b * (1 - 1e-12)
-        norms = _subset_dual_norms(X, b, masks)
-        margins = norms ** ps - C ** ps * (masks @ best_d)
+        margins = X.norm.dual_rows(b * masks) ** ps - C ** ps * (masks @ best_d)
         if np.max(margins) <= 1e-9 and float(a @ b) > 1 - epsilon:
             table = tuple((tuple(int(i) for i in np.flatnonzero(m)), float(mg))
                           for m, mg in zip(masks, margins))
@@ -206,12 +199,11 @@ def validate_certificate(cert: EmbeddingCertificate, X: NormedLattice, p: float,
     if Cv < cert.C:
         raise ValueError("certificates only transfer upward in C")
     a = np.array(cert.a)
-    b = np.array(cert.b)
+    b = _vector_in(X, cert.b)
     d = np.array(cert.d)
     masks = _subset_masks(X.dim)
-    norms = _subset_dual_norms(X, b, masks)
     ps = conjugate(p)
-    margins = norms ** ps - Cv ** ps * (masks @ d)
+    margins = X.norm.dual_rows(b * masks) ** ps - Cv ** ps * (masks @ d)
     return {
         "C": Cv,
         "simplex_ok": bool(abs(d.sum() - 1) <= 1e-9 and np.all(d >= -1e-12)),

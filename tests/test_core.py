@@ -243,7 +243,7 @@ def test_lorentz_r_dual_tends_to_one_dual():
         assert est.value == pytest.approx(one.value, rel=1e-8, abs=1e-300)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.filterwarnings("error:overflow encountered in divide:RuntimeWarning")
 @pytest.mark.parametrize("r", [1.0, 1.5])
 def test_lorentz_dual_order_survives_overflowing_densities(r):
     # b_i / w_i overflows to inf for both atoms; the dual must not depend on
@@ -255,6 +255,21 @@ def test_lorentz_dual_order_survives_overflowing_densities(r):
     for est in ests:
         assert est.side == "exact"
         assert ll.eval_norm(X, est.witness) <= 1 + 1e-12
+
+
+@pytest.mark.filterwarnings("error:overflow encountered")
+def test_q1_dual_scales_past_the_float_range():
+    # the prefix sums of 1e308-sized moduli overflow; the scan scales them down
+    mu = ll.AtomicMeasure((1.0, 2.0, 0.5))
+    X = ll.NormedLattice(3, ll.WeightedLorentzQ1(2, mu))
+    b = 1e308 * np.array([1.0, -1.0, 1.0])
+    ref = ll.eval_dual_norm(X, b * 2.0 ** -20).value * 2.0 ** 20
+    assert ref == pytest.approx(0.8164965809277261e308, rel=1e-15)
+    est = ll.eval_dual_norm(X, b)
+    assert est.side == "exact"
+    assert est.value == pytest.approx(ref, rel=1e-15)
+    pre = ll.NormedLattice(3, ll.PredualOf(X.norm))
+    assert ll.eval_norm(pre, b) == pytest.approx(ref, rel=1e-15)
 
 
 def test_r_dual_exactness_reaches_wrappers():
@@ -543,6 +558,9 @@ PROTOCOL_LATTICES = {
                                                    (_NL(2, ll.Lp(2)), _NL(1, ll.Lp(1))))),
     "example54_dual": _NL(3, ll.Example54Dual(2)),
     "predual_of": _NL(3, ll.PredualOf(ll.Example54Dual(2))),
+    "predual_of_q1": _NL(3, ll.PredualOf(ll.WeightedLorentzQ1(2, _MU3))),
+    "predual_of_gauge": _NL(3, ll.PredualOf(ll.GaugeOf(ll.SolidConvexBody(
+        ((1.0, 0.2, 0.1), (0.3, 0.9, 0.4), (0.2, 0.5, 1.0)))))),
     "gauge_of": _NL(3, ll.GaugeOf(ll.SolidConvexBody(((1.0, 0.5, 0.0), (0.2, 1.0, 0.3),
                                                       (0.0, 0.4, 1.0), (0.6, 0.6, 0.6))))),
 }
@@ -567,10 +585,17 @@ def test_norm_spec_protocol(name):
     else:
         assert np.array_equal(batched, rowwise)
     assert ll.NormSpec.from_dict(spec.to_dict()) == spec
-    # 1-homogeneous norm, 0-homogeneous norming functional, past the float range
+    # 1-homogeneous norm and dual norm, 0-homogeneous norming functional, past
+    # the float range.  An l_{p*} dual with p* < 2 keeps its power sum in range
+    # at 2^+-600, so lp_norm does not rescale it, and the root scales the
+    # rounding of 1/p* by the sum's exponent (3e-15 for lp_2.5, 2e-14 for
+    # block_lorentz_lp, whose outer dual is l_1.5)
+    dual_rel = 1e-13 if name in ("lp_2.5", "block_lorentz_lp") else 1e-15
     for c in (2.0 ** 600, 2.0 ** -600):
         for a in rows:
             assert ll.eval_norm(X, c * a) == pytest.approx(c * ll.eval_norm(X, a), rel=1e-15, abs=0)
+            assert (ll.eval_dual_norm(X, c * a).value
+                    == pytest.approx(c * ll.eval_dual_norm(X, a).value, rel=dual_rel, abs=0))
             np.testing.assert_allclose(ll.norming_functional(X, c * a), ll.norming_functional(X, a),
                                        rtol=1e-15, atol=0)
     assert ll.eval_norm_detail(X, rows[0])[1] == "exact"
@@ -582,7 +607,37 @@ def test_every_kind_writes_its_own_stacked_kernel():
     # keeps a one-vector evaluate, for its scalar-pow root
     for cls in ll.core._KINDS.values():
         assert "eval_rows" in vars(cls), cls.kind
+        assert "dual_rows" in vars(cls), cls.kind
         assert ("evaluate" in vars(cls)) == (cls is ll.Lp), cls.kind
+
+
+_DUAL_LATTICES = {**PROTOCOL_LATTICES,
+                  "predual_of_lp": _NL(3, ll.PredualOf(ll.Lp(2.5))),
+                  "linf_sum_9": _NL(18, ll.LinfSum(tuple(_NL(2, ll.Lp(1.5 + k / 4)) for k in range(9))))}
+
+
+@pytest.mark.filterwarnings("error:overflow encountered")
+@pytest.mark.parametrize("name", list(_DUAL_LATTICES))
+def test_dual_rows_match_the_one_vector_dual_norm(name):
+    # ordinary, zero and 2^+-600-scaled rows, a 1e300 entry beside a 1e-310
+    # one, and a 1e308 entry on a weight-0.5 atom (density inf) in one stack
+    X = _DUAL_LATTICES[name]
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        rows = rng.standard_normal((16, X.dim))
+        rows[::5] = 0.0
+        rows[1::5] *= 2.0 ** 600
+        rows[2::5] *= 2.0 ** -600
+        rows[3, :2] = (1e300, 1e-310)
+        rows[4, :] = 0.0
+        rows[4, 2] = 1e308
+        got = X.norm.dual_rows(rows)
+        want = np.array([X.norm.dual_norm(row)[0] for row in rows])
+        if name == "predual_of_lp":
+            # its rows are Lp's eval_rows, its one-vector duals Lp's evaluate
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        else:
+            assert np.array_equal(got, want)
 
 
 def _per_row_evaluate(spec, v):
