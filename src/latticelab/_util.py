@@ -6,8 +6,13 @@ hashes an explicit user seed together with string tags into an independent
 stream per task; every searched lower bound climbs with :func:`hill_climb`
 or one of its two exact replays without ``stop``: :func:`climb_lockstep`, many
 climbs as one stack per step, and :func:`climb_ahead`, one climb as one stack
-of all its remaining proposals per accept; every named verdict reads its
-tolerance from :data:`TOLERANCES`.
+of all its remaining proposals per accept.  The six searches that draw their
+starts before their first climb (the random-family, partition and
+duality-gap searches of the constants, theta, the Z-body enrichment and the
+multiplier's operator norm) run :func:`climb_starts`, the one driver of
+``climb_lockstep``; ``hill_climb`` itself runs only the embedding checker's
+climb, which needs ``stop``.  Every named verdict reads its tolerance from
+:data:`TOLERANCES`.
 Reports are serialized by :func:`canonical_json` with sorted
 keys and 17-significant-digit floats so identical runs are byte-identical.
 """
@@ -96,6 +101,57 @@ def climb_lockstep(score, x0, best, masks, noise):
         up = val > best
         x[up], best[up] = prop[up], val[up]
     return x, best
+
+
+def stack_rows(mats) -> tuple:
+    """(stack, groups): mats[b] atop zero rows in stack[b]; (indices, m) per length m."""
+    counts = np.array([len(mat) for mat in mats])
+    stack = np.zeros((len(mats), counts.max(), *mats[0].shape[1:]))
+    for b, mat in enumerate(mats):
+        stack[b, :len(mat)] = mat
+    return stack, [(np.flatnonzero(counts == m), m) for m in sorted(set(counts.tolist()))]
+
+
+# Consecutive climbs step as a group while its padded noise fits in this many bytes.
+NOISE_BYTES = 1 << 18
+
+
+def climb_starts(score, rng, iters: int, starts) -> list:
+    """(x, score) of each start's climb: the draws and results of
+    :func:`hill_climb` on one start after another, projected by the mask.
+    ``starts`` yields (x0, mask, score of x0) lazily, after the previous
+    climb's noise, one (iters, m, n) block (none for a -inf start, returned
+    as is).  Groups of climbs step together in :func:`climb_lockstep`, one
+    ``score(stack, groups)`` call a step on a :func:`stack_rows` stack."""
+    out, group, rows = [], [], 0
+
+    def run():
+        if group:
+            x0s, masks, vals, noise, at = zip(*group)
+            X0, groups = stack_rows(x0s)
+            Z = stack_rows([z.swapaxes(0, 1) for z in noise])[0].transpose(2, 0, 1, 3)
+            X, best = climb_lockstep(lambda P: score(P, groups), X0, vals, stack_rows(masks)[0], Z)
+            for b, i in enumerate(at):
+                out[i] = (X[b, :len(x0s[b])], float(best[b]))
+            group.clear()
+
+    for x0, mask, val in starts:
+        out.append((x0, val))
+        if val == -math.inf:
+            continue
+        m, n = x0.shape
+        if group and iters * (len(group) + 1) * max(rows, m) * n * 8 > NOISE_BYTES:
+            run()
+            rows = 0
+        rows = max(rows, m)
+        group.append((x0, mask, val, rng.standard_normal((iters, m, n)), len(out) - 1))
+    run()
+    return out
+
+
+def best_climb(climbs, floor=-math.inf) -> tuple:
+    """(score, point) of the first climb of highest score; (floor, None) if none beats floor."""
+    return max([(floor, None), *((val, x) for x, val in climbs)], key=lambda t: t[0])
 
 
 def climb_ahead(score_rows, project_rows, x0, best, noise):
@@ -218,9 +274,8 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, '%.17g' floats, 'inf' strings."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -232,13 +287,13 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = ", ".join(canonical_json(v, indent) for v in obj)
+        inner = ", ".join(canonical_json(v) for v in obj)
         return f"[{inner}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         keys = sorted(obj.keys())
-        parts = [f'"{_escape(str(k))}": {canonical_json(obj[k], indent)}' for k in keys]
+        parts = [f'"{_escape(str(k))}": {canonical_json(obj[k])}' for k in keys]
         return "{" + ", ".join(parts) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -7,13 +7,15 @@ p-estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import TOLERANCES, climb_lockstep, conjugate, inv, lp_norm, lp_rows, rng_for
+from ._util import (TOLERANCES, best_climb, climb_starts, conjugate, inv, lp_norm, lp_rows,
+                    rng_for, stack_rows)
 from .core import (
     AtomicMeasure,
     BlockLorentz,
@@ -111,18 +113,9 @@ def _kind_params(kind) -> tuple:
     raise TypeError(f"unknown constant kind {kind!r}")
 
 
-def _stack(mats) -> tuple:
-    """(stack, groups): family b atop zero rows in stack[b]; (indices, m) per length m."""
-    counts = np.array([len(mat) for mat in mats])
-    stack = np.zeros((len(mats), counts.max(), *mats[0].shape[1:]))
-    for b, mat in enumerate(mats):
-        stack[b, :len(mat)] = mat
-    return stack, [(np.flatnonzero(counts == m), m) for m in sorted(set(counts.tolist()))]
-
-
 def _ratios(T: LinOperator, params, stack: np.ndarray, groups) -> np.ndarray:
-    """The ratio of each family of a :func:`_stack`, bit for bit the float of
-    the one-family ratio, or -inf where its denominator is <= 0.  Finiteness
+    """The ratio of each family of a :func:`stack_rows` stack, bit for bit the
+    float of the one-family ratio, or -inf where its denominator is <= 0.  Finiteness
     and supports are checked at the boundary (``_family``, ``ratio``); the
     searches draw finite starts and steps.  Sums over a family run over its m
     rows alone (numpy's pairwise sum rounds zero-padded rows otherwise), and a
@@ -144,7 +137,7 @@ def _ratios(T: LinOperator, params, stack: np.ndarray, groups) -> np.ndarray:
 
 def _max_ratio(T: LinOperator, params, fams) -> float:
     """max(0, each family's ratio) in one stacked call; an inadmissible family scores -inf."""
-    return max([0.0, *_ratios(T, params, *_stack(fams)).tolist()])
+    return max([0.0, *_ratios(T, params, *stack_rows(fams)).tolist()])
 
 
 def _score(T: LinOperator, params, mat: np.ndarray, inadmissible=None) -> float:
@@ -180,43 +173,6 @@ def ratio(T: LinOperator, kind, family) -> float:
     return _score(T, params, mat, "zero family")
 
 
-# Consecutive climbs step as a group while its padded noise fits in this many bytes.
-NOISE_BYTES = 1 << 18
-
-
-def _climbs(T: LinOperator, params, rng, iters: int, starts) -> list:
-    """(x, score) of each start's climb: the draws and results of
-    :func:`hill_climb` on one start after another, projected by the mask.
-    ``starts`` yields (x0, mask, score of x0) lazily, after the previous
-    climb's noise, one (iters, m, n) block (none for a -inf start, returned
-    as is).  Groups of climbs step together, one stacked ratio call a step."""
-    out, group, rows = [], [], 0
-
-    def run():
-        if group:
-            x0s, masks, vals, noise, at = zip(*group)
-            X0, groups = _stack(x0s)
-            Z = _stack([z.swapaxes(0, 1) for z in noise])[0].transpose(2, 0, 1, 3)
-            X, best = climb_lockstep(lambda P: _ratios(T, params, P, groups), X0, vals,
-                                     _stack(masks)[0], Z)
-            for b, i in enumerate(at):
-                out[i] = (X[b, :len(x0s[b])], float(best[b]))
-            group.clear()
-
-    for x0, mask, val in starts:
-        out.append((x0, val))
-        if val == -math.inf:
-            continue
-        m, n = x0.shape
-        if group and iters * (len(group) + 1) * max(rows, m) * n * 8 > NOISE_BYTES:
-            run()
-            rows = 0
-        rows = max(rows, m)
-        group.append((x0, mask, val, rng.standard_normal((iters, m, n)), len(out) - 1))
-    run()
-    return out
-
-
 def _random_starts(T: LinOperator, params, rng, count: int, disjoint: bool):
     """``count`` random starts of 1 to 2n members (on a partition's <= n parts if ``disjoint``)."""
     n = T.domain.dim
@@ -234,11 +190,6 @@ def _random_starts(T: LinOperator, params, rng, count: int, disjoint: bool):
             mat0 = rng.standard_normal((m, n))
             mask = np.ones((m, n))
         yield mat0, mask, _score(T, params, mat0)
-
-
-def _best(climbs) -> tuple:
-    """(score, family) of the first climb of highest score."""
-    return max([(-math.inf, None), *((val, x) for x, val in climbs)], key=lambda t: t[0])
 
 
 def set_partitions(items) -> Iterator[list]:
@@ -293,7 +244,8 @@ def _random_family_search(T, kind, budget, seed) -> tuple:
     params = _kind_params(kind)
     n_starts = max(4, min(24, budget // 250))
     starts = _random_starts(T, params, rng, n_starts, isinstance(kind, (UpperEstimate, LowerEstimate)))
-    return _best(_climbs(T, params, rng, max(20, budget // (4 * n_starts)), starts))
+    iters = max(20, budget // (4 * n_starts))
+    return best_climb(climb_starts(functools.partial(_ratios, T, params), rng, iters, starts))
 
 
 def _partition_search(T, kind, budget, seed) -> tuple:
@@ -314,10 +266,10 @@ def _partition_search(T, kind, budget, seed) -> tuple:
     masks = [np.array([np.bincount(part, minlength=n) for part in parts], dtype=float)
              for parts in partitions]
     # every start is known before the first climb draws: score them as one stack
-    params = _kind_params(kind)
-    vals = _ratios(T, params, *_stack(masks)).tolist()
+    score = functools.partial(_ratios, T, _kind_params(kind))
+    vals = score(*stack_rows(masks)).tolist()
     iters = max(10, budget // (2 * max(1, len(partitions))))
-    return _best(_climbs(T, params, rng, iters, zip(masks, masks, vals)))
+    return best_climb(climb_starts(score, rng, iters, zip(masks, masks, vals)))
 
 
 def estimate_constant(T: LinOperator, kind, budget: int = 10000, seed: int = 0) -> ConstantEstimate:
@@ -510,7 +462,9 @@ def duality_gap(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
     def search(S, params):
         n_starts = max(4, min(16, budget // 400))
         starts = _random_starts(S, params, rng, n_starts, False)
-        return max([0.0, *(val for _, val in _climbs(S, params, rng, max(20, budget // (4 * n_starts)), starts))])
+        climbs = climb_starts(functools.partial(_ratios, S, params), rng,
+                              max(20, budget // (4 * n_starts)), starts)
+        return best_climb(climbs, 0.0)[0]
 
     L1 = search(T, (True, tau.p, sigma.p))
     L2 = search(A, (False, tau_d.p, sigma_d.p))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import TOLERANCES, conjugate, hill_climb, lp_norm, rng_for
+from ._util import TOLERANCES, best_climb, climb_starts, conjugate, lp_norm, lp_rows, rng_for
 from .core import (
     ConstantEstimate,
     GaugeOf,
@@ -55,6 +55,9 @@ class TensorRep:
             raise LatticeSchemaError("pairs", "representation needs at least one pair")
         if len({len(x) for x, _ in pairs}) != 1 or len({len(y) for _, y in pairs}) != 1:
             raise LatticeSchemaError("pairs", "pair components must have consistent dimensions")
+        for i, j, side, v in ((i, j, s, v) for i, pr in enumerate(pairs) for s, vec in zip("xy", pr)
+                              for j, v in enumerate(vec) if not math.isfinite(v)):
+            raise LatticeSchemaError(f"pairs/{i}/{side}/{j}", f"entry must be finite, got {v}")
         if not 1 <= self.p < math.inf:
             raise LatticeSchemaError("exponents/p", f"p must lie in [1, inf), got {self.p}")
         if self.p2 not in (self.p, math.inf):
@@ -99,26 +102,31 @@ def _dual_exponent(spec: NormSpec) -> float:
     return conjugate(spec.p)
 
 
-def _dual_norms(spec: NormSpec, rows: np.ndarray) -> np.ndarray:
-    """Dual norms of functionals against an Lp-family primal norm."""
-    return lp_norm(rows, _dual_exponent(spec), axis=1)
+def _seq_norms(spec: NormSpec, seqs: np.ndarray, p: float) -> np.ndarray:
+    """The l_p norm of the dual norms (against an Lp-family primal norm) along
+    each sequence of a (K, L, d) stack of functionals, with lp_rows' scalar roots."""
+    duals = lp_norm(seqs.reshape(-1, seqs.shape[2]), _dual_exponent(spec), axis=1)
+    return lp_rows(duals.reshape(seqs.shape[:2]), p)
+
+
+def _theta_rows(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
+                Xs: np.ndarray, Ys: np.ndarray) -> np.ndarray:
+    """:func:`theta_value` of each pair of a (K, L, dim_E) and a (K, L', dim_F)
+    stack of functional sequences, bit for bit; a zero sequence norm gives 0."""
+    nx, ny = _seq_norms(E_norm, Xs, rep.p), _seq_norms(F_norm, Ys, conjugate(rep.q))
+    left = lp_norm(Xs @ rep.x_matrix().T, rep.p2, axis=1)  # (K, n) over evaluations x*_k(x_i)
+    right = lp_norm(Ys @ rep.y_matrix().T, conjugate(rep.q2), axis=1)
+    den = nx * ny
+    return np.divide((left * right).sum(axis=1), den, out=np.zeros(len(den)),
+                     where=(nx > 0) & (ny > 0))
 
 
 def theta_value(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
                 xstars, ystars) -> float:
     """The theta objective at explicit functional sequences, normalized by
     their l_p(E*) and l_{q*}(F*) sequence norms."""
-    Xs = np.atleast_2d(np.asarray(xstars, dtype=float))
-    Ys = np.atleast_2d(np.asarray(ystars, dtype=float))
-    nx = lp_norm(_dual_norms(E_norm, Xs), rep.p, axis=0)
-    ny = lp_norm(_dual_norms(F_norm, Ys), conjugate(rep.q), axis=0)
-    if nx <= 0 or ny <= 0:
-        return 0.0
-    ex = Xs @ rep.x_matrix().T          # (L, n) evaluations x*_k(x_i)
-    ey = Ys @ rep.y_matrix().T
-    left = lp_norm(ex, rep.p2, axis=0)
-    right = lp_norm(ey, conjugate(rep.q2), axis=0)
-    return float(np.sum(left * right) / (nx * ny))
+    Xs, Ys = (np.atleast_2d(np.asarray(s, dtype=float))[None] for s in (xstars, ystars))
+    return float(_theta_rows(rep, E_norm, F_norm, Xs, Ys)[0])
 
 
 def theta_lower(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
@@ -148,42 +156,25 @@ def theta_lower(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
     _dual_exponent(F_norm)
     rng = rng_for(seed, "theta", rep.n, rep.dim_E, rep.dim_F, trunc_len)
     L, dE = trunc_len, rep.dim_E
-    start_list = []
-    for i in range(rep.n):
-        x, y = np.array(rep.pairs[i][0]), np.array(rep.pairs[i][1])
-        if np.any(x != 0) and np.any(y != 0):
-            sx = np.zeros((L, rep.dim_E))
-            sy = np.zeros((L, rep.dim_F))
-            sx[0] = norming_functional(E, x)
-            sy[0] = norming_functional(F, y)
-            start_list.append((sx, sy))
-    for sx0, sy0 in starts or ():
-        sx = np.zeros((L, rep.dim_E))
-        sy = np.zeros((L, rep.dim_F))
-        sx0 = np.atleast_2d(np.asarray(sx0, dtype=float))
-        sy0 = np.atleast_2d(np.asarray(sy0, dtype=float))
-        sx[:min(L, sx0.shape[0])] = sx0[:L]
-        sy[:min(L, sy0.shape[0])] = sy0[:L]
-        start_list.append((sx, sy))
-    n_rand = max(3, budget // 400)
-    for _ in range(n_rand):
-        start_list.append((rng.standard_normal((L, rep.dim_E)),
-                           rng.standard_normal((L, rep.dim_F))))
+    seqs = [(norming_functional(E, x)[None], norming_functional(F, y)[None])
+            for x, y in (map(np.array, pair) for pair in rep.pairs) if np.any(x != 0) and np.any(y != 0)]
+    seqs += [tuple(np.atleast_2d(np.asarray(s, dtype=float))[:L] for s in warm) for warm in starts or ()]
+    seqs += [(rng.standard_normal((L, dE)), rng.standard_normal((L, rep.dim_F)))
+             for _ in range(max(3, budget // 400))]
+    S = np.zeros((len(seqs), L, dE + rep.dim_F))  # one row [xs | ys] per truncation index
+    for k, (sx, sy) in enumerate(seqs):
+        S[k, :len(sx), :dE], S[k, :len(sy), dE:] = sx, sy
 
-    def score(z):  # z = [xs | ys], one row per truncation index
-        return theta_value(rep, E_norm, F_norm, z[:, :dE], z[:, dE:])
+    def score(P, groups):
+        return _theta_rows(rep, E_norm, F_norm, P[:, :, :dE], P[:, :, dE:])
 
-    best, best_wit = 0.0, None
-    iters = max(20, budget // (4 * max(1, len(start_list))))
-    for sx, sy in start_list:
-        z, val = hill_climb(score, np.hstack([sx, sy]), rng, iters)
-        if val > best:
-            best, best_wit = val, (z[:, :dE], z[:, dE:])
+    iters = max(20, budget // (4 * len(S)))
+    climbs = climb_starts(score, rng, iters, zip(S, np.ones_like(S), score(S, None)))
+    best, z = best_climb(climbs, 0.0)
     wit = None
-    if best_wit is not None:
-        nx = lp_norm(_dual_norms(E_norm, best_wit[0]), rep.p, axis=0)
-        ny = lp_norm(_dual_norms(F_norm, best_wit[1]), conjugate(rep.q), axis=0)
-        wit = (best_wit[0] / nx, best_wit[1] / ny)
+    if z is not None:  # normalized by the sequence norms theta divides by
+        nx = _seq_norms(E_norm, z[None, :, :dE], rep.p)[0]
+        wit = (z[:, :dE] / nx, z[:, dE:] / _seq_norms(F_norm, z[None, :, dE:], conjugate(rep.q))[0])
     return ConstantEstimate(best, "lower", wit, budget, seed)
 
 
@@ -191,14 +182,21 @@ def theta_lower(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
 # factorization
 
 
+def _w_rows(rep: TensorRep, F_norm: NormSpec, Ys: np.ndarray) -> tuple:
+    """(W, ok): the :func:`_w_generator` of each sequence of a (K, L, dim_F)
+    stack, bit for bit, in the rows of W where ``ok`` (a nonzero sequence)."""
+    total = _seq_norms(F_norm, Ys, conjugate(rep.q))
+    ok = total > 0
+    W = lp_norm(Ys @ rep.y_matrix().T, conjugate(rep.q2), axis=1)
+    W[ok] /= total[ok, None]
+    return W, ok
+
+
 def _w_generator(rep: TensorRep, F_norm: NormSpec, ys_rows: np.ndarray):
-    """w_i = (sum_j |y*_j(y_i)|^{q2*})^{1/q2*} for the normalized sequence."""
-    norms = _dual_norms(F_norm, ys_rows)
-    total = lp_norm(norms, conjugate(rep.q), axis=0)
-    if total <= 0:
-        return None
-    ev = ys_rows @ rep.y_matrix().T
-    return lp_norm(ev, conjugate(rep.q2), axis=0) / total
+    """w_i = (sum_j |y*_j(y_i)|^{q2*})^{1/q2*} for the normalized sequence
+    (None for a zero sequence): the one-row case of :func:`_w_rows`."""
+    W, ok = _w_rows(rep, F_norm, ys_rows[None])
+    return W[0] if ok[0] else None
 
 
 def _evaluation_body(rep: TensorRep, F_norm: NormSpec, trunc_len: int,
@@ -243,21 +241,15 @@ def _maximize_w(rep: TensorRep, F_norm: NormSpec, v: np.ndarray,
         y = np.array(rep.pairs[i][1])
         if np.any(y != 0):
             base[i] = norming_functional(F, y)
-    starts = [base] + [rng.standard_normal((L, rep.dim_F)) for _ in range(4)]
+    S = np.stack([base] + [rng.standard_normal((L, rep.dim_F)) for _ in range(4)])
 
-    def score(ys):
-        w = _w_generator(rep, F_norm, ys)
-        return -1.0 if w is None else float(np.dot(v, w))
+    def score(P, groups):  # v.w as the dot np.dot takes; -1 for a zero sequence
+        W, ok = _w_rows(rep, F_norm, P)
+        return np.where(ok, (W[:, None, :] @ v[:, None])[:, 0, 0], -1.0)
 
-    best_val, best_w = -1.0, None
-    iters = max(40, budget // len(starts))
-    for s0 in starts:
-        cur, val = hill_climb(score, s0, rng, iters)
-        if val > best_val:
-            w_fin = _w_generator(rep, F_norm, cur)
-            if w_fin is not None:
-                best_val, best_w = val, w_fin
-    return best_w
+    climbs = climb_starts(score, rng, max(40, budget // len(S)), zip(S, np.ones_like(S), score(S, None)))
+    ys = best_climb(climbs, -1.0)[1]
+    return None if ys is None else _w_generator(rep, F_norm, ys)
 
 
 def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
@@ -379,17 +371,15 @@ def multiplication_operator_check(g, source: NormedLattice, target: NormedLattic
             if np.any(w != 0):
                 cands.append(w)
     cands += list(rng.standard_normal((32, source.dim)))
+    S = np.array(cands, dtype=float)[:, None, :]  # one (1, n) row per start
 
-    def op_ratio(x):
-        nx = eval_norm(source, x)
-        if nx <= 0:
-            return 0.0
-        return eval_norm(target, g * x) / nx
+    def op_ratio(P, groups):  # an lp target through lp_rows, the roots of eval_norm
+        nx, gx = source.norm.eval_rows(P[:, 0]), g * P[:, 0]
+        num = lp_rows(gx, target.norm.p) if isinstance(target.norm, Lp) else target.norm.eval_rows(gx)
+        return np.divide(num, nx, out=np.zeros(len(nx)), where=nx > 0)
 
-    norm_D = 0.0
-    for x0 in cands:
-        _, val = hill_climb(op_ratio, x0.astype(float), rng, max(20, budget // 100))
-        norm_D = max(norm_D, val)
+    climbs = climb_starts(op_ratio, rng, max(20, budget // 100), zip(S, np.ones_like(S), op_ratio(S, None)))
+    norm_D = best_climb(climbs, 0.0)[0]
 
     report = {
         "norm_D": norm_D,

@@ -311,7 +311,7 @@ def _assert_same_estimate(est, want):
 @pytest.mark.parametrize("tiny_groups", [False, True])
 def test_estimate_constant_replays_the_sequential_search(monkeypatch, tiny_groups):
     if tiny_groups:  # every lockstep group holds one climb
-        monkeypatch.setattr("latticelab.constants.NOISE_BYTES", 1)
+        monkeypatch.setattr("latticelab._util.NOISE_BYTES", 1)
     for T, kind, budget, seed in _replay_cases():
         _assert_same_estimate(ll.estimate_constant(T, kind, budget=budget, seed=seed),
                               _seq_estimate(T, kind, budget, seed))
