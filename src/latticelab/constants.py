@@ -277,6 +277,8 @@ def estimate_constant(T: LinOperator, kind, budget: int = 10000, seed: int = 0) 
     disjoint kinds, and hill-climbing refinement; deterministic per seed."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if not T.matrix.any():  # every ratio's numerator vanishes
+        return ConstantEstimate(0.0, "exact", [np.eye(T.domain.dim)[0]], budget, seed)
     exact = _exact_identity_estimate(T, kind, budget, seed)
     if exact is not None:
         return exact

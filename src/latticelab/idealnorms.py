@@ -4,26 +4,37 @@ theta of a representation u = sum x_i (x) y_i is a sup over two truncated
 sequences of functionals; it is searched, so every reported value is a lower
 bound.  The factorization routes u through an intermediate lattice Z on R^n
 whose norm is the support function of a sampled body of evaluation vectors,
-making the norm of Z itself one-sided in the same direction.
+making the norm of Z itself one-sided in the same direction.  The body's
+sequences are scored in stacks, one :func:`_w_rows` call per sequence length.
+A representation with all x_i or all y_i zero factorizes too: the zero
+factor's constant is exactly 0, and an all-zero body gives way to a trivial
+max-norm copy of R^n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._util import TOLERANCES, best_climb, climb_starts, conjugate, lp_norm, lp_rows, rng_for
+from ._util import TOLERANCES, best_climb, climb_starts, conjugate, lp_norm, lp_rows, rng_for, stack_rows
+from .constants import Concave, Convex, estimate_constant
+from .convexgeom import SolidConvexBody, _prune_generators
 from .core import (
     ConstantEstimate,
     GaugeOf,
     LatticeSchemaError,
     LinOperator,
+    Lp,
     NormedLattice,
     NormSpec,
     PredualOf,
+    WeightedLorentzPInfty,
+    WeightedLorentzQ1,
     as_vector,
+    dual_lattice,
     eval_norm,
     norming_functional,
 )
@@ -80,11 +91,18 @@ class TensorRep:
     def dim_F(self) -> int:
         return len(self.pairs[0][1])
 
+    @cached_property
+    def _matrices(self) -> tuple:
+        """(X, Y): the x_i and the y_i as rows, built once and read-only."""
+        X, Y = (np.array(side, dtype=float) for side in zip(*self.pairs))
+        X.flags.writeable = Y.flags.writeable = False
+        return X, Y
+
     def x_matrix(self) -> np.ndarray:
-        return np.array([x for x, _ in self.pairs], dtype=float)
+        return self._matrices[0]
 
     def y_matrix(self) -> np.ndarray:
-        return np.array([y for _, y in self.pairs], dtype=float)
+        return self._matrices[1]
 
     def to_dict(self) -> dict:
         return {
@@ -95,8 +113,6 @@ class TensorRep:
 
 def _dual_exponent(spec: NormSpec) -> float:
     """Exponent of the dual of an Lp-family primal norm."""
-    from .core import Lp
-
     if not isinstance(spec, Lp):
         raise ValueError("functional sequence norms need an l_p family space")
     return conjugate(spec.p)
@@ -141,7 +157,7 @@ def theta_lower(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
     E = NormedLattice(rep.dim_E, E_norm)
     F = NormedLattice(rep.dim_F, F_norm)
     if rep.n == 1:
-        x, y = (np.array(rep.pairs[0][0]), np.array(rep.pairs[0][1]))
+        x, y = rep.x_matrix()[0], rep.y_matrix()[0]
         val = eval_norm(E, x) * eval_norm(F, y)
         if val == 0:
             return ConstantEstimate(0.0, "exact", None, budget, seed)
@@ -157,7 +173,7 @@ def theta_lower(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
     rng = rng_for(seed, "theta", rep.n, rep.dim_E, rep.dim_F, trunc_len)
     L, dE = trunc_len, rep.dim_E
     seqs = [(norming_functional(E, x)[None], norming_functional(F, y)[None])
-            for x, y in (map(np.array, pair) for pair in rep.pairs) if np.any(x != 0) and np.any(y != 0)]
+            for x, y in zip(rep.x_matrix(), rep.y_matrix()) if x.any() and y.any()]
     seqs += [tuple(np.atleast_2d(np.asarray(s, dtype=float))[:L] for s in warm) for warm in starts or ()]
     seqs += [(rng.standard_normal((L, dE)), rng.standard_normal((L, rep.dim_F)))
              for _ in range(max(3, budget // 400))]
@@ -183,8 +199,9 @@ def theta_lower(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
 
 
 def _w_rows(rep: TensorRep, F_norm: NormSpec, Ys: np.ndarray) -> tuple:
-    """(W, ok): the :func:`_w_generator` of each sequence of a (K, L, dim_F)
-    stack, bit for bit, in the rows of W where ``ok`` (a nonzero sequence)."""
+    """(W, ok): w_i = (sum_j |y*_j(y_i)|^{q2*})^{1/q2*} for each sequence of
+    a (K, L, dim_F) stack, normalized by its l_{q*}(F*) sequence norm, in the
+    rows of W where ``ok`` (a nonzero sequence)."""
     total = _seq_norms(F_norm, Ys, conjugate(rep.q))
     ok = total > 0
     W = lp_norm(Ys @ rep.y_matrix().T, conjugate(rep.q2), axis=1)
@@ -192,41 +209,24 @@ def _w_rows(rep: TensorRep, F_norm: NormSpec, Ys: np.ndarray) -> tuple:
     return W, ok
 
 
-def _w_generator(rep: TensorRep, F_norm: NormSpec, ys_rows: np.ndarray):
-    """w_i = (sum_j |y*_j(y_i)|^{q2*})^{1/q2*} for the normalized sequence
-    (None for a zero sequence): the one-row case of :func:`_w_rows`."""
-    W, ok = _w_rows(rep, F_norm, ys_rows[None])
-    return W[0] if ok[0] else None
-
-
 def _evaluation_body(rep: TensorRep, F_norm: NormSpec, trunc_len: int,
                      budget: int, seed: int):
-    """Generators w over sampled normalized y*-sequences; the Z-norm is the
-    support function of their solid convex hull (an inner approximation, so
-    the norm is one-sided low)."""
-    from .convexgeom import SolidConvexBody, _prune_generators
-
+    """Generators w over the norming functionals of the y_i and sampled
+    y*-sequences of random lengths, one :func:`_w_rows` call per length; the
+    Z-norm is the support function of their solid convex hull (an inner
+    approximation, so the norm is one-sided low)."""
     F = NormedLattice(rep.dim_F, F_norm)
-    Y = rep.y_matrix()
     rng = rng_for(seed, "etabody", rep.n, rep.dim_F, trunc_len)
-
-    gens = []
-    for i in range(rep.n):
-        y = Y[i]
-        if np.any(y != 0):
-            rows = np.zeros((trunc_len, rep.dim_F))
-            rows[0] = norming_functional(F, y)
-            w = _w_generator(rep, F_norm, rows)
-            if w is not None:
-                gens.append(w)
-    for _ in range(max(40, budget // 10)):
-        rows = rng.standard_normal((int(rng.integers(1, trunc_len + 1)), rep.dim_F))
-        w = _w_generator(rep, F_norm, rows)
-        if w is not None:
-            gens.append(w)
-    if not gens:
-        gens = [np.zeros(rep.n)]
-    return SolidConvexBody(_prune_generators(np.array(gens)))
+    # each y_i's functional atop zero rows, trunc_len in all: a one-row matmul can round differently
+    seqs = [np.pad(norming_functional(F, y)[None], ((0, trunc_len - 1), (0, 0))) for y in rep.y_matrix()]
+    seqs += [rng.standard_normal((int(rng.integers(1, trunc_len + 1)), rep.dim_F))
+             for _ in range(max(40, budget // 10))]
+    # grouped by length: zero rows would change the pairwise sums past 8 terms
+    stack, groups = stack_rows(seqs)
+    W, ok = np.empty((len(seqs), rep.n)), np.empty(len(seqs), dtype=bool)
+    for at, m in groups:
+        W[at], ok[at] = _w_rows(rep, F_norm, stack[at, :m])
+    return SolidConvexBody(_prune_generators(W[ok]))
 
 
 def _maximize_w(rep: TensorRep, F_norm: NormSpec, v: np.ndarray,
@@ -235,21 +235,17 @@ def _maximize_w(rep: TensorRep, F_norm: NormSpec, v: np.ndarray,
     tightens the sampled Z norm exactly where an estimate needed it."""
     F = NormedLattice(rep.dim_F, F_norm)
     rng = rng_for(seed, "etaenrich", rep.n, rep.dim_F, trunc_len)
-    L = max(1, trunc_len)
-    base = np.zeros((L, rep.dim_F))
-    for i in range(min(rep.n, L)):
-        y = np.array(rep.pairs[i][1])
-        if np.any(y != 0):
-            base[i] = norming_functional(F, y)
-    S = np.stack([base] + [rng.standard_normal((L, rep.dim_F)) for _ in range(4)])
+    base = np.zeros((trunc_len, rep.dim_F))
+    base[:rep.n] = [norming_functional(F, y) for y in rep.y_matrix()[:trunc_len]]
+    S = np.stack([base] + [rng.standard_normal((trunc_len, rep.dim_F)) for _ in range(4)])
 
     def score(P, groups):  # v.w as the dot np.dot takes; -1 for a zero sequence
         W, ok = _w_rows(rep, F_norm, P)
         return np.where(ok, (W[:, None, :] @ v[:, None])[:, 0, 0], -1.0)
 
     climbs = climb_starts(score, rng, max(40, budget // len(S)), zip(S, np.ones_like(S), score(S, None)))
-    ys = best_climb(climbs, -1.0)[1]
-    return None if ys is None else _w_generator(rep, F_norm, ys)
+    ys = best_climb(climbs, -1.0)[1]  # a nonzero sequence: its v.w >= 0 beats the floor
+    return None if ys is None else _w_rows(rep, F_norm, ys[None])[0][0]
 
 
 def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
@@ -259,19 +255,19 @@ def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
     R rows are the functionals x_i, S columns are the vectors y_i.  At oracle
     scale ``product_ok`` compares K(R) K(S) with theta up to
     ``tol["theta-product"]``."""
-    from .constants import Concave, Convex, estimate_constant
-
+    if trunc_len < 1:
+        raise ValueError("truncation length must be at least 1")
     E = NormedLattice(rep.dim_E, E_norm)
     F = NormedLattice(rep.dim_F, F_norm)
+
+    def through(body):  # (Z, R, S) for the Z-ball of this body
+        Z = NormedLattice(rep.n, PredualOf(GaugeOf(body)))
+        return Z, LinOperator(rep.x_matrix(), E, Z), LinOperator(rep.y_matrix().T, Z, F)
+
     body = _evaluation_body(rep, F_norm, trunc_len, budget, seed)
     degenerate = not np.any(body.gen_matrix > 0)
-    if degenerate:
-        # u = 0: route through a trivial max-norm copy instead
-        Z = NormedLattice(rep.n, PredualOf(GaugeOf(type(body)(np.ones((1, rep.n))))))
-    else:
-        Z = NormedLattice(rep.n, PredualOf(GaugeOf(body)))
-    R = LinOperator(rep.x_matrix(), E, Z)
-    S = LinOperator(rep.y_matrix().T, Z, F)
+    # an all-zero body (every y_i zero): route through a trivial max-norm copy instead
+    Z, R, S = through(SolidConvexBody(np.ones((1, rep.n))) if degenerate else body)
     u_matrix = S.matrix @ R.matrix
     basis_exact = bool(np.array_equal(u_matrix, rep.y_matrix().T @ rep.x_matrix()))
 
@@ -280,8 +276,6 @@ def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
     # the sampled Z ball can sit strictly inside the true one, which inflates
     # the concavity estimate past its exact value 1; grow the body against
     # the witness families until the estimate settles
-    from .convexgeom import SolidConvexBody
-
     for round_ in range(3):
         if degenerate or est_S.value <= 1 + 5e-3 or not est_S.witness:
             break
@@ -292,9 +286,7 @@ def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
         if w_new is None or not np.any(w_new > 0):
             break
         body = SolidConvexBody(np.vstack([body.gen_matrix, np.abs(w_new)]))
-        Z = NormedLattice(rep.n, PredualOf(GaugeOf(body)))
-        R = LinOperator(rep.x_matrix(), E, Z)
-        S = LinOperator(rep.y_matrix().T, Z, F)
+        Z, R, S = through(body)
         est_S = estimate_constant(S, Concave(rep.q, rep.q2), budget=est_budget, seed=seed)
 
     est_R = estimate_constant(R, Convex(rep.p, rep.p2), budget=est_budget, seed=seed)
@@ -303,14 +295,10 @@ def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
     # handing theta_lower the dual exponent on the first slot. Seed the
     # search with the convexity witness family so both sides of the
     # product-vs-theta comparison explore the same optimum
-    from .core import dual_lattice
-
     warm = []
     if est_R.witness:
         ru = np.stack([as_vector(w) for w in est_R.witness])
-        yn = np.stack([norming_functional(F, np.array(y)) if np.any(np.array(y) != 0)
-                       else np.zeros(rep.dim_F) for _, y in rep.pairs])
-        warm.append((ru, yn))
+        warm.append((ru, np.stack([norming_functional(F, y) for y in rep.y_matrix()])))
     L_theta = max(trunc_len, rep.n, len(est_R.witness or ()))
     theta = theta_lower(rep, dual_lattice(E).norm, F_norm, L_theta,
                         budget=max(400, budget // 2), seed=seed, starts=warm)
@@ -340,9 +328,6 @@ def multiplication_operator_check(g, source: NormedLattice, target: NormedLattic
     """Diagonal operator x -> g * x; its (p, inf)-convexity and (q, q2)
     concavity constants should not beat the operator norm (families gain
     nothing over the best single direction)."""
-    from .constants import Concave, Convex, estimate_constant
-    from .core import Lp, WeightedLorentzPInfty, WeightedLorentzQ1
-
     g = as_vector(g)
     if np.any(g < 0):
         raise ValueError("multiplier must be nonnegative")
@@ -355,10 +340,6 @@ def multiplication_operator_check(g, source: NormedLattice, target: NormedLattic
     p = source.norm.p
     q = target.norm.p if isinstance(target.norm, Lp) else target.norm.q
     D = LinOperator(np.diag(g), source, target)
-    if not np.any(g > 0):
-        return {"norm_D": 0.0, "K_convex": 0.0, "K_concave": 0.0,
-                "convex_ok": True, "concave_ok": True, "pass": True}
-
     est_cx = estimate_constant(D, Convex(p, math.inf), budget=budget, seed=seed)
     est_cc = estimate_constant(D, Concave(q, 1), budget=budget, seed=seed)
 

@@ -383,6 +383,21 @@ def test_ideal_commands(tmp_path, capsys):
     assert code == 1 and "/exponents" in err
 
 
+def test_ideal_factorize_truncation_and_zero_side(tmp_path, capsys):
+    rep_doc = write_doc(tmp_path, "rep.json", REP_SINGLE)
+    for trunc in ("0", "-1"):  # a traceback and a numpy shape error before the check
+        code, out, err = run_cli(["ideal", "factorize", "--rep", rep_doc, "--trunc", trunc], capsys)
+        assert (code, out, err) == (1, "", "error: truncation length must be at least 1\n")
+    # every y zero: the zero concavity constant used to fail the factorization with exit 1
+    zero_y = {**REP_SINGLE, "pairs": [{"x": [3.0, 4.0], "y": [0.0, 0.0]}, {"x": [1.0, 0.0], "y": [0.0, 0.0]}]}
+    code, out, _ = run_cli(["ideal", "factorize", "--rep", write_doc(tmp_path, "zero_y.json", zero_y),
+                            "--budget", "400"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["u_matrix"] == [[0, 0], [0, 0]] and rep["K_concave_S"] == 0.0
+    assert rep["composition_exact"] is True and rep["product_ok"] is True
+
+
 def test_ideal_multiplier_command(tmp_path, capsys):
     src = write_doc(tmp_path, "src.json",
                     {"dim": 3, "norm": {"kind": "lorentz_pinfty", "p": 3, "r": 1,

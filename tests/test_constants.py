@@ -395,6 +395,17 @@ def test_estimate_constant_witness_reproduces():
         assert ll.ratio(T, kind, fam) == pytest.approx(est.value, rel=1e-9)
 
 
+def test_estimate_constant_of_the_zero_operator_is_exactly_zero():
+    # every ratio's numerator vanishes; the search used to raise "failed to
+    # produce a nonzero family" for all four kinds
+    T = ll.LinOperator(np.zeros((2, 3)), lp_lattice(3, 2), lp_lattice(2, 1.5))
+    for kind in (ll.Convex(2, 2), ll.Concave(2, 1.5), ll.UpperEstimate(2), ll.LowerEstimate(2)):
+        est = ll.estimate_constant(T, kind, budget=300, seed=4)
+        assert (est.value, est.side) == (0.0, "exact")
+        assert np.array_equal(est.witness, [[1.0, 0.0, 0.0]])
+        assert ll.ratio(T, kind, est.witness) == 0.0
+
+
 @pytest.mark.parametrize("n", [11, 12, 20])
 def test_identity_estimates_are_exact_past_the_partition_search(n):
     # the power-mean argument holds at every n, not only where partitions are searched

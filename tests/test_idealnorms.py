@@ -8,8 +8,10 @@ import pytest
 
 import latticelab as ll
 from latticelab._util import conjugate, hill_climb, lp_norm, rng_for
+from latticelab.convexgeom import _prune_generators
 from latticelab.idealnorms import (
     TensorRep,
+    _evaluation_body,
     _maximize_w,
     _theta_rows,
     _w_rows,
@@ -132,6 +134,25 @@ def test_eta_rank_one_product():
                                   budget=600, seed=0)
     kr, ks = out["product_bound"]
     assert kr * ks == pytest.approx(2.0, abs=5e-2)  # ||x*|| ||y|| = 1 * 2
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_eta_factorizes_a_rep_with_one_side_zero(side):
+    # u = 0: the constant of the zero factor is exactly 0 (the estimate used to raise)
+    pairs = (((0.6, -0.2), (1.0, 0.3)), ((0.1, 0.7), (-0.4, 0.9)))
+    rep = TensorRep(tuple(((0.0, 0.0), y) if side == "x" else (x, (0.0, 0.0)) for x, y in pairs),
+                    p=2, p2=math.inf, q=2, q2=1)
+    out = build_eta_factorization(rep, ll.Lp(1.5), ll.Lp(2), trunc_len=3, budget=400, seed=0)
+    assert not out["u_matrix"].any() and out["composition_exact"]
+    assert out["product_bound"]["xy".index(side)] == 0.0
+    assert out["theta"] == 0.0 and out["product_ok"] is True
+
+
+def test_eta_rejects_bad_truncation():
+    rep = TensorRep((((1.0, 0.0), (1.0, 0.5)), ((0.0, 1.0), (0.3, 1.0))), p=2, p2=math.inf, q=2, q2=1)
+    for L in (0, -1):  # an IndexError and a numpy shape error before the check
+        with pytest.raises(ValueError, match="^truncation length must be at least 1$"):
+            build_eta_factorization(rep, ll.Lp(2), ll.Lp(2), trunc_len=L, budget=400)
 
 
 def test_eta_intermediate_norm_is_unconditional():
@@ -322,6 +343,50 @@ def test_stacked_scorers_match_the_one_sequence_scorers():
         for w, good, ys in zip(W, ok, Ys):
             want = _seq_w_generator(rep, F_norm, ys)
             assert (want is None) if not good else np.array_equal(w, want)
+
+
+def _seq_evaluation_gens(rep, F_norm, L, budget, seed):
+    """The generators of the body before pruning, one _w_rows call per sequence."""
+    F = ll.NormedLattice(rep.dim_F, F_norm)
+    rng = rng_for(seed, "etabody", rep.n, rep.dim_F, L)
+    seqs = []
+    for y in rep.y_matrix():
+        if np.any(y != 0):
+            rows = np.zeros((L, rep.dim_F))
+            rows[0] = ll.norming_functional(F, y)
+            seqs.append(rows)
+    gens = []
+    for k in range(len(seqs) + max(40, budget // 10)):
+        rows = seqs[k] if k < len(seqs) else rng.standard_normal((int(rng.integers(1, L + 1)), rep.dim_F))
+        W, ok = _w_rows(rep, F_norm, rows[None])
+        if ok[0]:
+            gens.append(W[0])
+    return np.array(gens).reshape(-1, rep.n)
+
+
+def test_evaluation_body_replays_the_one_sequence_loop(monkeypatch):
+    # zero y pairs, and lengths past 8, where zero padding would change the sums
+    pruned = []
+
+    def spy(gens):
+        pruned.append(gens)
+        return _prune_generators(gens)
+
+    monkeypatch.setattr("latticelab.idealnorms._prune_generators", spy)
+    rng = np.random.default_rng(14)
+    for case in range(6):
+        rep = _random_rep(rng, int(rng.integers(1, 5)), 1, int(rng.integers(1, 4)))
+        zero = rng.random(rep.n) < 0.5 if case else np.ones(rep.n, dtype=bool)
+        zero[int(rng.integers(rep.n))] = True
+        rep = TensorRep(tuple((x, (0.0,) * rep.dim_F if z else y) for (x, y), z in zip(rep.pairs, zero)),
+                        rep.p, rep.p2, rep.q, rep.q2)
+        assert rep.y_matrix() is rep.y_matrix() and not rep.y_matrix().flags.writeable  # built once
+        for F_norm in (ll.Lp(1.5), ll.Lp(2.0), ll.Lp(3.0)):
+            for L in (1, 2, 3, 8, 9, 12):
+                want = _seq_evaluation_gens(rep, F_norm, L, 600, case)
+                got = _evaluation_body(rep, F_norm, L, 600, case).gen_matrix
+                assert np.array_equal(pruned.pop(), want)
+                assert np.array_equal(got, _prune_generators(want if len(want) else np.zeros((1, rep.n))))
 
 
 def _no_groups(monkeypatch, tiny_groups):
