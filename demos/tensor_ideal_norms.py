@@ -29,7 +29,6 @@ out = ll.build_eta_factorization(rep2, ll.Lp(2.0), ll.Lp(2.0),
                                  trunc_len=3, budget=1500, seed=0)
 kR, kS = out["product_bound"]
 print("\ntwo-pair representation, factored through a gauge lattice:")
-print("  composition reproduces u exactly:", out["composition_exact"])
 print(f"  K(R) = {kR:.6f}   K(S) = {kS:.6f}   product = {kR * kS:.6f}")
 print(f"  searched theta = {out['theta']:.6f}")
 

@@ -112,7 +112,9 @@ def stack_rows(mats) -> tuple:
     return stack, [(np.flatnonzero(counts == m), m) for m in sorted(set(counts.tolist()))]
 
 
-# Consecutive climbs step as a group while its padded noise fits in this many bytes.
+# Consecutive climbs step as a group while its padded noise fits in this many
+# bytes, and the stacked D search of convexgeom scores its rows in groups whose
+# candidate stack for one stage fits in it.
 NOISE_BYTES = 1 << 18
 
 

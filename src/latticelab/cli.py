@@ -445,7 +445,6 @@ def _cmd_ideal_factorize(args, cfg):
         "R_matrix": out["R"].matrix.tolist(),
         "S_matrix": out["S"].matrix.tolist(),
         "u_matrix": out["u_matrix"].tolist(),
-        "composition_exact": out["composition_exact"],
         "K_convex_R": K_R,
         "K_concave_S": K_S,
         "product_bound": K_R * K_S,
@@ -453,8 +452,7 @@ def _cmd_ideal_factorize(args, cfg):
         "oracle_scale": out["oracle_scale"],
         "product_ok": out["product_ok"],
     }
-    ok = bool(out["composition_exact"] and out["product_ok"] is not False)
-    return payload, (0 if ok else 2)
+    return payload, (0 if out["product_ok"] is not False else 2)
 
 
 def _cmd_ideal_multiplier(args, cfg):

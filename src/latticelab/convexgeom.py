@@ -21,6 +21,7 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401
 from scipy.spatial import HalfspaceIntersection, QhullError
 
+from . import _util
 from ._util import climb_ahead, conjugate, lp_norm, rng_for
 from .core import (
     GaugeOf,
@@ -531,29 +532,28 @@ def _signs(k: int) -> np.ndarray:
 
 
 def _decomposition_values(T: LinOperator, tau, images: np.ndarray) -> np.ndarray:
-    """tau(||T u_1||, ..., ||T u_m||) for a (K, m, d) stack of part images,
-    with all K * m codomain norms from one eval_rows call."""
-    K, m, d = images.shape
-    norms = T.codomain.norm.eval_rows(images.reshape(K * m, d))
-    return lp_norm(norms.reshape(K, m), tau.p, axis=1)
+    """tau(||T u_1||, ..., ||T u_m||) for a (..., m, d) stack of part images,
+    with all codomain norms from one eval_rows call."""
+    norms = T.codomain.norm.eval_rows(images.reshape(-1, images.shape[-1]))
+    return lp_norm(norms.reshape(images.shape[:-1]), tau.p, axis=-1)
 
 
-def _best_decomposition(T: LinOperator, u: np.ndarray, tau, C: np.ndarray) -> tuple:
-    """Scores a (K, m, n) stack of multiplier matrices c: each is the
-    decomposition u_i = c_i o u.  Returns the value and the (m, n) parts of the
-    first maximizer."""
-    parts = C * u
+def _best_decomposition(T: LinOperator, U: np.ndarray, tau, C: np.ndarray) -> tuple:
+    """Scores a (K, m, n) stack of multiplier matrices c, or one such stack per
+    row of the (G, n) stack U: each is the decomposition u_i = c_i o u.  Returns
+    the values and the (m, n) parts of the first maximizer of each row."""
+    parts = C * U[:, None, None, :]
     vals = _decomposition_values(T, tau, parts @ T.matrix.T)
-    k = int(np.argmax(vals))
-    return float(vals[k]), parts[k].copy()
+    k, at = np.argmax(vals, axis=1), np.arange(len(U))
+    return vals[at, k], parts[at, k]
 
 
-def _best_grid_decomposition(T: LinOperator, u: np.ndarray, tau, opts, orbits) -> tuple:
-    """The best of the two-part decompositions whose column j is one row of the
-    (K, 2) option array ``opts``, of orbit tables ``orbits``, times u_j: all
-    K^n of them, rows in np.indices order.  Returns the value and the (2, n)
-    parts of the first maximizer in that order, the row np.argmax picks on
-    the full grid.
+def _best_grid_decomposition(T: LinOperator, U: np.ndarray, tau, opts, orbits) -> tuple:
+    """The best of the two-part decompositions of each row u of the (G, n)
+    stack U whose column j is one row of the (K, 2) option array ``opts``, of
+    orbit tables ``orbits``, times u_j: all K^n of them, rows in np.indices
+    order.  Returns the values and the (2, n) parts of the first maximizer of
+    each row in that order, the row np.argmax picks on the full grid.
 
     Only an orbit quotient is scored.  Negating either part in every
     coordinate, or swapping the parts, maps a grid row to one of the same
@@ -565,20 +565,22 @@ def _best_grid_decomposition(T: LinOperator, u: np.ndarray, tau, opts, orbits) -
     of the scored rows that tie the maximum; the first of them is the least
     full-grid index over those orbits.  The images of the column options are
     formed once per coordinate and summed by broadcasting."""
-    K, n = len(opts), u.shape[0]
+    K, (G, n), d = len(opts), U.shape, T.codomain.dim
     perms, reps = orbits
-    images = np.zeros((1, 2, T.codomain.dim))
+    images = np.zeros((G, 1, 2, d))
     for j in range(n):
-        col = ((opts[reps] if j == 0 else opts) * u[j])[:, :, None] * T.matrix[:, j]
-        images = (images[:, None] + col[None]).reshape(-1, 2, T.codomain.dim)
+        col = ((opts[reps] if j == 0 else opts) * U[:, j, None, None])[..., None] * T.matrix[:, j]
+        images = (images[:, :, None] + col[:, None]).reshape(G, -1, 2, d)
     vals = _decomposition_values(T, tau, images)
-    top = vals[int(np.argmax(vals))]
-    tied = np.flatnonzero(np.isnan(vals) if np.isnan(top) else vals == top)
+    top = vals[np.arange(G), np.argmax(vals, axis=1)]
+    at, tied = np.nonzero(np.where(np.isnan(top)[:, None], np.isnan(vals), vals == top[:, None]))
     rows = np.array(np.unravel_index(tied, (len(reps),) + (K,) * (n - 1)))
     rows[0] = reps[rows[0]]
-    first = np.ravel_multi_index(tuple(perms[:, rows].transpose(1, 0, 2)), (K,) * n).min()
-    pick = np.unravel_index(first, (K,) * n)
-    return float(top), opts[list(pick)].T * u
+    full = np.ravel_multi_index(tuple(perms[:, rows].transpose(1, 0, 2)), (K,) * n).min(axis=0)
+    first = np.full(G, K ** n)
+    np.minimum.at(first, at, full)
+    pick = np.stack(np.unravel_index(first, (K,) * n), axis=1)
+    return top, opts[pick].transpose(0, 2, 1) * U[:, None, :]
 
 
 def _d_plan(n: int, tau, sigma, budget: int, seed: int) -> tuple:
@@ -606,38 +608,59 @@ def _d_plan(n: int, tau, sigma, budget: int, seed: int) -> tuple:
     return sigma.p, rows[:, None, :], grid, vertices, draws, polish
 
 
-def _d_search(T: LinOperator, u: np.ndarray, tau, plan: tuple) -> tuple:
-    """(best, best_parts) of the search behind :func:`search_D_violation` on a
-    checked float vector u with the stacks and draws of ``plan``, the parts
-    also when best <= 1; best_parts is None when no decomposition scores above 0."""
-    if not np.any(u != 0):
-        return 0.0, None
-    sigma_p, rows, grid, vertices, draws, polish = plan
-    best, best_parts = 0.0, None
+def _sigma_tight(raw: np.ndarray, U: np.ndarray, sigma_p: float) -> np.ndarray:
+    """The random stage's signed multipliers for each row u of the (G, n) stack
+    U: the (k, m, n) normal block raw, zero off the support of u, each column
+    scaled to sigma-norm 1 (a (G, k, m, n) stack)."""
+    supp = U[:, None, :] != 0
+    c = raw * supp[:, None]
+    colnorm = lp_norm(c, sigma_p, axis=2) if c.shape[2] > 1 else np.abs(c[:, :, 0])
+    scale = np.where(colnorm > 0, 1.0 / np.maximum(colnorm, 1e-300), 0.0) * supp
+    return c * scale[:, :, None, :]
 
-    def consider(val, parts):
-        nonlocal best, best_parts
-        if val > best:
-            best, best_parts = val, parts
+
+def _d_search_rows(T: LinOperator, U: np.ndarray, tau, plan: tuple) -> tuple:
+    """(best, best_parts) of the search behind :func:`search_D_violation` on
+    each row u of a checked (N, n) float stack U, with the stacks and draws of
+    ``plan``: two lists, a float and (m, n) parts per row, the parts also when
+    best <= 1 and None when no decomposition scores above 0.  Each candidate
+    stage scores the nonzero rows in groups whose (K, m, max(n, d)) stacks fit
+    in ``_util.NOISE_BYTES`` (one row at least), one stacked call per group;
+    the polish climbs row by row.  A row's result is the one-row search's, bit
+    for bit."""
+    sigma_p, rows, grid, vertices, draws, polish = plan
+    n = U.shape[1]
+    best, best_parts = [0.0] * len(U), [None] * len(U)
+    live = np.flatnonzero(np.any(U != 0, axis=1))
+
+    def stage(score, cands):  # cands: the K * m decomposition parts scored per row
+        size = max(1, _util.NOISE_BYTES // (cands * max(n, T.codomain.dim) * 8))
+        for start in range(0, len(live), size):
+            at = live[start:start + size]
+            vals, parts = score(U[at])
+            for i, val, part in zip(at, vals.tolist(), parts):
+                if val > best[i]:
+                    best[i], best_parts[i] = val, part
 
     # no-split candidates (m = 1, |c| <= 1 entrywise; vertices suffice)
-    consider(*_best_decomposition(T, u, tau, rows))
+    stage(lambda Ug: _best_decomposition(T, Ug, tau, rows), len(rows))
     if grid is not None:
         # exhaustive two-part decompositions on a per-coordinate split grid
-        consider(*_best_grid_decomposition(T, u, tau, *grid))
+        opts, (_, reps) = grid
+        stage(lambda Ug: _best_grid_decomposition(T, Ug, tau, *grid), 2 * len(reps) * len(opts) ** (n - 1))
     for C in vertices:
-        consider(*_best_decomposition(T, u, tau, C))
-    # random decompositions: signed multipliers with sigma-tight columns, one
-    # stacked score for each part count m
-    supp = u != 0
+        stage(lambda Ug, C=C: _best_decomposition(T, Ug, tau, C), C.shape[0] * C.shape[1])
+    # random decompositions, one stacked draw for each part count m
     for raw in draws:
-        c = raw * supp
-        colnorm = lp_norm(c, sigma_p, axis=1) if c.shape[1] > 1 else np.abs(c[:, 0])
-        scale = np.where(colnorm > 0, 1.0 / np.maximum(colnorm, 1e-300), 0.0) * supp
-        consider(*_best_decomposition(T, u, tau, c * scale[:, None, :]))
-    # local polish on the best decomposition found
-    if best_parts is not None and len(best_parts) > 1:
-        c0 = np.divide(best_parts, u, out=np.zeros_like(best_parts), where=supp)
+        stage(lambda Ug, raw=raw: _best_decomposition(T, Ug, tau, _sigma_tight(raw, Ug, sigma_p)),
+              raw.shape[0] * raw.shape[1])
+    # local polish on each row's best decomposition
+    for i in live:
+        if best_parts[i] is None or len(best_parts[i]) == 1:
+            continue
+        u = U[i]
+        supp = u != 0
+        c0 = np.divide(best_parts[i], u, out=np.zeros_like(best_parts[i]), where=supp)
 
         def score_rows(C):
             return _decomposition_values(T, tau, (C * u) @ T.matrix.T)
@@ -647,8 +670,15 @@ def _d_search(T: LinOperator, u: np.ndarray, tau, plan: tuple) -> tuple:
 
         c, val = climb_ahead(score_rows, project_rows, c0, float(score_rows(c0[None])[0]),
                              polish[len(c0)])
-        consider(float(val), c * u)
+        if val > best[i]:
+            best[i], best_parts[i] = float(val), c * u
     return best, best_parts
+
+
+def _d_search(T: LinOperator, u: np.ndarray, tau, plan: tuple) -> tuple:
+    """(best, best_parts) of :func:`_d_search_rows` on the one vector u."""
+    best, best_parts = _d_search_rows(T, u[None], tau, plan)
+    return best[0], best_parts[0]
 
 
 def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
@@ -657,19 +687,22 @@ def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: Symmetri
     searched over multiplier decompositions u_i = c_i o u.  in_D means no
     decomposition with value > 1 was found (one-sided).
 
-    Each stage scores its candidates as one stack: the no-split sign vertices;
-    for n <= 3 the two-part split grid (:func:`_best_grid_decomposition`),
-    whose column images are formed once per coordinate and summed by
-    broadcasting; for sigma = inf the +-1 vertices of 2-4 parts;
-    max(16, budget // 8) random decompositions, drawn as one block per part
-    count m in 1..4 (all stacks and draws are one :func:`_d_plan`); then a
-    hill-climb polish of the best one, one stack per accepted proposal
-    (:func:`_util.climb_ahead`).  The split grid scores one row or a few per
-    orbit of part negations and the part swap (5,120 of its 32,768 rows at
-    n = 3), all of the same value, and returns the first maximizer of the full
-    grid, so the search's result is the one the full grid gives.  No
-    multiplier depends on |u|, so the search is positively homogeneous: rho at
-    s u is s times rho at u, which :func:`verify_polarity` relies on."""
+    The search is the one-row case of the stacked search that
+    :func:`verify_polarity` runs on all its sampled vectors at once
+    (:func:`_d_search_rows`).  Each stage scores its candidates as one stack:
+    the no-split sign vertices; for n <= 3 the two-part split grid
+    (:func:`_best_grid_decomposition`), whose column images are formed once
+    per coordinate and summed by broadcasting; for sigma = inf the +-1
+    vertices of 2-4 parts; max(16, budget // 8) random decompositions, drawn
+    as one block per part count m in 1..4 (all stacks and draws are one
+    :func:`_d_plan`); then a hill-climb polish of the best one, one stack per
+    accepted proposal (:func:`_util.climb_ahead`).  The split grid scores one
+    row or a few per orbit of part negations and the part swap (5,120 of its
+    32,768 rows at n = 3), all of the same value, and returns the first
+    maximizer of the full grid, so the search's result is the one the full
+    grid gives.  No multiplier depends on |u|, so the search is positively
+    homogeneous: rho at s u is s times rho at u, with the parts scaled by s,
+    which both directions of :func:`verify_polarity` rely on."""
     u = as_vector(u)
     if u.shape[0] != T.domain.dim:
         raise ValueError("dimension mismatch")
@@ -709,6 +742,13 @@ def _enrichment_generator(T: LinOperator, tau, sigma, parts) -> np.ndarray:
     return sigma_apply(sigma, [T.apply(x) for x in fam])
 
 
+def _polar_scale(body: SolidConvexBody, w: np.ndarray) -> float:
+    """s with w / s on the boundary of the body's polar: the support function
+    at w, or 1 when that is <= 1e-12."""
+    sup = support_function(body, w)
+    return 1.0 if sup <= 1e-12 else sup
+
+
 def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNorm,
                     sample_count: int = 10000, seed: int = 0) -> dict:
     """Checks, one-sidedly, that the polar of the (inner-approximated) C body
@@ -718,49 +758,47 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
     induced by the violating decomposition (up to 3 rounds) before a
     counterexample is recorded.
 
-    Every D search of both directions shares one plan (:func:`_d_plan`), as
-    they share A = T*, the dual exponents, the budget and the seed.  Direction
-    (b) runs one D search per sampled w: rho and the D search are positively
-    homogeneous, so the violator u* = w (1 + 1e-3) / rho(w) and its
-    decomposition are that search's result rescaled.  ``d_searches`` counts
-    the D searches run."""
+    The vectors of both directions are drawn up front and searched once, in
+    one stacked D search (:func:`_d_search_rows`, one :func:`_d_plan`) whose
+    stages score them in row groups of bounded bytes.  rho and the D search
+    are positively homogeneous, so each direction rescales its vector's
+    search: (a) checks u* = w / s, s the support function of the current body
+    at w (1 when that is <= 1e-12), as rho(w) / s with parts / s, after every
+    enrichment too; (b) takes the violator u* = w (1 + 1e-3) / rho(w) and its
+    decomposition scaled alike.  ``d_searches`` counts the vectors searched."""
     A = T.adjoint()
     tau_d, sigma_d = sigma_dual(tau), sigma_dual(sigma)
     body = build_C_body(T, tau, sigma, budget=max(400, sample_count // 5), seed=seed)
     degenerate = not np.any(body.gen_matrix > 0)
-    rng = rng_for(seed, "polarity", T.domain.dim, T.codomain.dim)
+    dim = T.codomain.dim
+    rng = rng_for(seed, "polarity", T.domain.dim, dim)
     n_dir = max(12, min(60, sample_count // 150))
-    plan = _d_plan(T.codomain.dim, tau_d, sigma_d, max(400, sample_count // 10), seed)
-    enrich_rounds = d_searches = 0
+    # direction (a): random directions and the unit vectors; then (b)'s samples
+    dirs = np.vstack([rng.standard_normal((n_dir, dim)), np.eye(dim)])
+    ws = rng.standard_normal((max(10, n_dir // 2), dim))
+    plan = _d_plan(dim, tau_d, sigma_d, max(400, sample_count // 10), seed)
+    rhos, parts = _d_search_rows(A, np.vstack([dirs, ws]), tau_d, plan)
+    enrich_rounds = 0
     a_viol, b_viol = [], []
     a_checked = b_checked = 0
 
     # direction (a): C-polar members must be in D
-    dirs = list(rng.standard_normal((n_dir, T.codomain.dim)))
-    dirs += [np.eye(T.codomain.dim)[i] for i in range(T.codomain.dim)]
-    for w in dirs:
-        sup = support_function(body, w)
-        ustar = w if sup <= 1e-12 else w / sup
+    for w, rho_w, parts_w in zip(dirs, rhos, parts):
         a_checked += 1
         for round_ in range(4):
-            rho, parts = _d_search(A, ustar, tau_d, plan)
-            d_searches += 1
+            s = _polar_scale(body, w)
+            rho = rho_w / s
             ok = rho <= 1 + 1e-6
             if ok or round_ == 3:
                 break
-            g = _enrichment_generator(T, tau, sigma, list(parts))
+            g = _enrichment_generator(T, tau, sigma, list(parts_w / s))
             body = _with_extra(body, [g])
             enrich_rounds += 1
-            sup = support_function(body, w)
-            ustar = w if sup <= 1e-12 else w / sup
         if not ok:
-            a_viol.append({"u_star": ustar.tolist(), "rho_lower": rho})
+            a_viol.append({"u_star": (w / s).tolist(), "rho_lower": rho})
 
     # direction (b): D-violators must leave the polar
-    for _ in range(max(10, n_dir // 2)):
-        w = rng.standard_normal(T.codomain.dim)
-        rho, parts = _d_search(A, w, tau_d, plan)
-        d_searches += 1
+    for w, rho, parts_w in zip(ws, rhos[len(dirs):], parts[len(dirs):]):
         if rho <= 1e-9:
             continue
         scale = (1.0 + 1e-3) / rho
@@ -770,7 +808,7 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
             ok = support_function(body, ustar) > 1 - 5e-2
             if ok or round_ == 3:
                 break
-            g = _enrichment_generator(T, tau, sigma, list(parts * scale))
+            g = _enrichment_generator(T, tau, sigma, list(parts_w * scale))
             body = _with_extra(body, [g])
             enrich_rounds += 1
         if not ok:
@@ -785,7 +823,7 @@ def verify_polarity(T: LinOperator, tau: SymmetricSeqNorm, sigma: SymmetricSeqNo
         "direction_b": {"checked": b_checked, "violations": b_viol},
         "enrichment_rounds": enrich_rounds,
         "generator_count": len(body.generators),
-        "d_searches": d_searches,
+        "d_searches": len(rhos),
     }
 
 

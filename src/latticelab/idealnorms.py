@@ -269,7 +269,6 @@ def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
     # an all-zero body (every y_i zero): route through a trivial max-norm copy instead
     Z, R, S = through(SolidConvexBody(np.ones((1, rep.n))) if degenerate else body)
     u_matrix = S.matrix @ R.matrix
-    basis_exact = bool(np.array_equal(u_matrix, rep.y_matrix().T @ rep.x_matrix()))
 
     est_budget = max(200, budget // 4)
     est_S = estimate_constant(S, Concave(rep.q, rep.q2), budget=est_budget, seed=seed)
@@ -309,7 +308,6 @@ def build_eta_factorization(rep: TensorRep, E_norm: NormSpec, F_norm: NormSpec,
         "R": R,
         "S": S,
         "u_matrix": u_matrix,
-        "composition_exact": basis_exact,
         "product_bound": (est_R.value, est_S.value),
         "theta": theta.value,
         "oracle_scale": oracle_scale,

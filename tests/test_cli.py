@@ -362,7 +362,7 @@ def test_ideal_commands(tmp_path, capsys):
     code, out, _ = run_cli(["ideal", "factorize", "--rep", rep_doc, "--budget", "500"], capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["composition_exact"] is True and rep["product_ok"] is True
+    assert rep["product_ok"] is True and "composition_exact" not in rep
     assert rep["u_matrix"] == [[3, 4], [3, 4]]
 
     # dim_E = 4 is outside oracle scale: the theta comparison is skipped, not passed
@@ -373,7 +373,7 @@ def test_ideal_commands(tmp_path, capsys):
                             "--budget", "400"], capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["composition_exact"] is True and rep["oracle_scale"] is False
+    assert rep["oracle_scale"] is False
     assert rep["product_ok"] is None
 
     bad = dict(REP_SINGLE)
@@ -395,7 +395,7 @@ def test_ideal_factorize_truncation_and_zero_side(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["u_matrix"] == [[0, 0], [0, 0]] and rep["K_concave_S"] == 0.0
-    assert rep["composition_exact"] is True and rep["product_ok"] is True
+    assert rep["product_ok"] is True
 
 
 def test_ideal_multiplier_command(tmp_path, capsys):

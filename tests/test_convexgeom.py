@@ -18,10 +18,12 @@ from latticelab.convexgeom import (
     _column_options,
     _d_plan,
     _d_search,
+    _d_search_rows,
     _decomposition_values,
     _gauge_lp,
     _gauge_stack,
     _option_orbits,
+    _polar_scale,
     _probe_scales,
     _prune_generators,
     _sigma_rows,
@@ -639,6 +641,15 @@ def test_d_search_scaling_exact():
         assert fresh["rho_lower"] == pytest.approx(rho * scale, rel=1e-9)
         assert np.allclose(np.array(fresh["witness"]), parts * scale,
                            rtol=1e-9, atol=1e-9 * np.abs(u * scale).max())
+        # direction (a) checks u* = u / s, s = _polar_scale(body, u), as rho(u) / s
+        # with the parts / s; bodies of support <= 1e-12 at u give s = 1
+        for gens in (np.abs(rng.standard_normal((5, n))), 1e-14 * np.abs(rng.standard_normal((5, n))),
+                     np.zeros((1, n))):
+            s = _polar_scale(ll.SolidConvexBody(gens), u)
+            assert (s == 1.0) == (not gens.any() or gens.max() < 1e-12)
+            fresh_rho, fresh_parts = _d_search(A, u / s, tau, _d_plan(n, tau, sigma, 600, 3))
+            assert fresh_rho == pytest.approx(rho / s, rel=1e-9)
+            assert np.allclose(fresh_parts, parts / s, rtol=1e-9, atol=1e-9 * np.abs(u / s).max())
 
 
 def test_signs_follow_the_bit_order():
@@ -655,6 +666,12 @@ def _decomposition_values_loop(T, u, tau, C):
     return np.array(vals)
 
 
+def _one_row(best, T, u, tau, *args):
+    """(value, parts) of the stacked scorer ``best`` on the one row u."""
+    vals, parts = best(T, u[None], tau, *args)
+    return float(vals[0]), parts[0]
+
+
 def test_best_decomposition_matches_scalar_loop():
     rng = np.random.default_rng(17)
     for trial in range(60):
@@ -668,7 +685,7 @@ def test_best_decomposition_matches_scalar_loop():
             stacks.append(_signs(m * n).reshape(-1, m, n))
         for C in stacks:
             want = _decomposition_values_loop(T, u, tau, C)
-            val, parts = _best_decomposition(T, u, tau, C)
+            val, parts = _one_row(_best_decomposition, T, u, tau, C)
             assert abs(val - want.max()) <= 4 * np.spacing(want.max())
             k = next(k for k in range(len(C)) if np.array_equal(parts, C[k] * u))
             assert abs(want[k] - want.max()) <= 4 * np.spacing(want.max())
@@ -689,8 +706,8 @@ def test_grid_decomposition_matches_gathered_stack():
             u[0] = 0.0
         opts = np.array(_column_options(sigma_p, 9))
         idx = np.indices((len(opts),) * n).reshape(n, -1).T
-        want, _ = _best_decomposition(T, u, tau, opts[idx].transpose(0, 2, 1))
-        val, parts = _best_grid_decomposition(T, u, tau, opts, _option_orbits(opts))
+        want, _ = _one_row(_best_decomposition, T, u, tau, opts[idx].transpose(0, 2, 1))
+        val, parts = _one_row(_best_grid_decomposition, T, u, tau, opts, _option_orbits(opts))
         assert parts.shape == (2, n)
         assert abs(val - want) <= 4 * np.spacing(want)
         rescored = _decomposition_values_loop(T, np.ones(n), tau, parts[None])[0]
@@ -739,7 +756,7 @@ def test_grid_quotient_is_bit_identical_to_the_full_grid(name):
             elif i % 3 == 2:
                 u[:] = -0.7
             want_val, want_parts = _full_grid_decomposition(T, u, tau, opts)
-            val, parts = _best_grid_decomposition(T, u, tau, opts, _option_orbits(opts))
+            val, parts = _one_row(_best_grid_decomposition, T, u, tau, opts, _option_orbits(opts))
             assert val == want_val
             assert np.array_equal(parts, want_parts)
             assert np.array_equal(np.signbit(parts), np.signbit(want_parts))
@@ -753,7 +770,7 @@ def test_grid_quotient_keeps_the_first_nan_row():
     u = np.array([1e308, 1e308])
     opts = np.array(_column_options(2.0, 9))
     want_val, want_parts = _full_grid_decomposition(T, u, L2, opts)
-    val, parts = _best_grid_decomposition(T, u, L2, opts, _option_orbits(opts))
+    val, parts = _one_row(_best_grid_decomposition, T, u, L2, opts, _option_orbits(opts))
     assert math.isnan(want_val) and math.isnan(val)
     assert np.array_equal(parts, want_parts)
     assert np.array_equal(np.signbit(parts), np.signbit(want_parts))
@@ -788,7 +805,8 @@ def test_polarity_reports_match_the_full_grid(monkeypatch, tau_p, sigma_p):
                        lp_lattice(3, 2), lp_lattice(3, 2))
     tau, sigma = ll.SymmetricSeqNorm(tau_p), ll.SymmetricSeqNorm(sigma_p)
     rep = ll.verify_polarity(T, tau, sigma, sample_count=2000, seed=4)
-    monkeypatch.setattr(cg, "_best_grid_decomposition", _full_grid_decomposition)
+    monkeypatch.setattr(cg, "_best_grid_decomposition", lambda T, U, tau, opts, orbits: tuple(
+        map(np.array, zip(*(_full_grid_decomposition(T, u, tau, opts) for u in U)))))
     want = ll.verify_polarity(T, tau, sigma, sample_count=2000, seed=4)
     assert canonical_json(rep) == canonical_json(want)
 
@@ -808,14 +826,14 @@ def _d_search_per_call(T, u, tau, sigma, budget, seed):
             best, best_parts = val, parts
 
     rows = np.ones((1, n)) if n > 10 else np.vstack([np.ones(n), _signs(n)])
-    consider(*_best_decomposition(T, u, tau, rows[:, None, :]))
+    consider(*_one_row(_best_decomposition, T, u, tau, rows[:, None, :]))
     if n <= 3:
         opts = np.array(_column_options(sigma.p, 9))
-        consider(*_best_grid_decomposition(T, u, tau, opts, _option_orbits(opts)))
+        consider(*_one_row(_best_grid_decomposition, T, u, tau, opts, _option_orbits(opts)))
         if sigma.p == math.inf:
             for m in (2, 3, 4):
                 if 2 ** (m * n) <= 5000:
-                    consider(*_best_decomposition(T, u, tau, _signs(m * n).reshape(-1, m, n)))
+                    consider(*_one_row(_best_decomposition, T, u, tau, _signs(m * n).reshape(-1, m, n)))
     supp = u != 0
     ms = rng.integers(1, 5, size=max(16, budget // 8))
     for m in range(1, 5):
@@ -825,14 +843,14 @@ def _d_search_per_call(T, u, tau, sigma, budget, seed):
         c = rng.standard_normal((count, m, n)) * supp
         colnorm = lp_norm(c, sigma.p, axis=1) if m > 1 else np.abs(c[:, 0])
         scale = np.where(colnorm > 0, 1.0 / np.maximum(colnorm, 1e-300), 0.0) * supp
-        consider(*_best_decomposition(T, u, tau, c * scale[:, None, :]))
+        consider(*_one_row(_best_decomposition, T, u, tau, c * scale[:, None, :]))
     if best_parts is not None and len(best_parts) > 1:
         c0 = np.divide(best_parts, u, out=np.zeros_like(best_parts), where=supp)
 
         def project(c):
             return c / np.maximum(lp_norm(c, sigma.p, axis=0), 1.0) * supp
 
-        c, val = hill_climb(lambda c: _best_decomposition(T, u, tau, c[None])[0],
+        c, val = hill_climb(lambda c: _one_row(_best_decomposition, T, u, tau, c[None])[0],
                             c0, rng, min(150, budget // 10), project)
         consider(val, c * u)
     return best, best_parts
@@ -877,6 +895,43 @@ def test_planned_d_search_replays_the_per_call_search(name):
     assert polished > 0
 
 
+@pytest.mark.parametrize("name", list(PROTOCOL_LATTICES))
+def test_stacked_d_search_replays_the_one_row_search(monkeypatch, name):
+    # every codomain kind, n = 1..4, budgets 400 and 2000, stacks with a zero
+    # row, rows with zero entries and rows of equal entries, all rows grouped
+    # under the default byte bound and one row a group under a bound of 1 byte.
+    # The predual of the Example 5.4 norm evaluates row by row and is slow, so
+    # it runs one tau/sigma pair per n and no n = 3 at budget 2000
+    import latticelab._util as util
+
+    X = PROTOCOL_LATTICES[name]
+    rowwise = isinstance(X.norm, ll.PredualOf) and isinstance(X.norm.inner, ll.Example54Dual)
+    rng = np.random.default_rng(83)
+    pairs = [(t, s) for t in (1.0, 1.5, 2.0, math.inf) for s in (1.0, 1.5, 2.0, 3.0, math.inf)]
+    cases = []
+    for n in (1, 2, 3, 4):
+        for j in range(1 if rowwise else 3):
+            tau_p, sigma_p = pairs[(5 * n + 7 * j) % len(pairs)]
+            tau, sigma = ll.SymmetricSeqNorm(tau_p), ll.SymmetricSeqNorm(sigma_p)
+            budget = 400 if rowwise and n == 3 else (400, 2000)[(n + j) % 2]
+            T = ll.LinOperator(rng.standard_normal((X.dim, n)), lp_lattice(n, 2), X)
+            U = rng.standard_normal((6, n))
+            U[1] = 0.0
+            U[2, j % n] = 0.0
+            U[3] = -0.7
+            U[4, :] = U[4, 0]
+            cases.append((T, U, tau, _d_plan(n, tau, sigma, budget, j)))
+    want = [[_d_search(T, u, tau, plan) for u in U] for T, U, tau, plan in cases]
+    for noise_bytes in (util.NOISE_BYTES, 1):
+        monkeypatch.setattr(util, "NOISE_BYTES", noise_bytes)
+        for (T, U, tau, plan), rows in zip(cases, want):
+            best, parts = _d_search_rows(T, U, tau, plan)
+            assert len(best) == len(parts) == len(U)
+            for got, row in zip(zip(best, parts), rows):
+                _same_search(got, row)
+    assert any(parts is not None and len(parts) > 1 for rows in want for _, parts in rows)
+
+
 def test_polarity_report_matches_the_per_call_search(monkeypatch):
     import latticelab.convexgeom as cg
 
@@ -885,11 +940,62 @@ def test_polarity_report_matches_the_per_call_search(monkeypatch):
     tau, sigma = ll.SymmetricSeqNorm(2.0), ll.SymmetricSeqNorm(1.5)
     rep = ll.verify_polarity(T, tau, sigma, sample_count=2000, seed=5)
     tau_d, sigma_d = ll.sigma_dual(tau), ll.sigma_dual(sigma)
-    monkeypatch.setattr(cg, "_d_search", lambda A, u, t, plan: _d_search_per_call(
-        A, u, tau_d, sigma_d, 400, 5))
+    searched = []
+
+    def per_call(A, U, t, plan):
+        searched.extend(U)
+        return tuple(map(list, zip(*(_d_search_per_call(A, u, tau_d, sigma_d, 400, 5) for u in U))))
+
+    monkeypatch.setattr(cg, "_d_search_rows", per_call)
     want = ll.verify_polarity(T, tau, sigma, sample_count=2000, seed=5)
-    assert rep["d_searches"] > 12
+    # n_dir = 13 directions and 3 unit vectors for direction (a), 10 samples for (b)
+    assert rep["d_searches"] == len(searched) == 13 + 3 + 10
     assert canonical_json(rep) == canonical_json(want)
+
+
+def test_polarity_direction_a_rounds_match_a_fresh_search(monkeypatch):
+    # direction (a) checks u* = w / s in every round as rho(w) / s, enriching
+    # with the parts / s: each round's verdict and enrichment are those of a
+    # fresh D search at w / s
+    import latticelab.convexgeom as cg
+
+    T = ll.LinOperator(np.array([[1.0, 0.4, -0.2], [0.3, -0.8, 0.5], [0.0, 0.6, 1.1]]),
+                       lp_lattice(3, 2), lp_lattice(3, 3))
+    polar_scale, enrichment = cg._polar_scale, cg._enrichment_generator
+    events = []
+
+    def check(body, w):
+        events.append(("check", w, polar_scale(body, w)))
+        return events[-1][2]
+
+    def enrich(T, tau, sigma, parts):
+        events.append(("enrich", np.array(parts)))
+        return enrichment(T, tau, sigma, parts)
+
+    monkeypatch.setattr(cg, "_polar_scale", check)
+    monkeypatch.setattr(cg, "_enrichment_generator", enrich)
+    ll.verify_polarity(T, L2, L2, sample_count=1500, seed=0)
+    A, plan = T.adjoint(), _d_plan(3, L2, L2, 400, 0)
+    # direction (a)'s events end at its last check; direction (b) may enrich after it
+    last = max(i for i, ev in enumerate(events) if ev[0] == "check")
+    round_, prev, enriched = 0, None, 0
+    for i, ev in enumerate(events[:last + 1]):
+        if ev[0] != "check":
+            continue
+        _, w, s = ev
+        round_ = round_ + 1 if w is prev else 0
+        prev = w
+        rho, parts = _d_search(A, w / s, L2, plan)
+        expect = rho > 1 + 1e-6 and round_ < 3
+        assert (i < last and events[i + 1][0] == "enrich") == expect
+        if expect:
+            # the enrichment's parts are a decomposition of w / s of the fresh
+            # value; tied maximizers may differ from the fresh search's parts
+            enriched += 1
+            got = events[i + 1][1]
+            assert _decomposition_values(A, L2, (got @ A.matrix.T)[None])[0] == pytest.approx(rho, rel=1e-9)
+            assert np.all(lp_norm(got, 2, axis=0) <= np.abs(w / s) * (1 + 1e-9))
+    assert enriched > 0
 
 
 def test_random_stage_witnesses_are_admissible():
@@ -957,9 +1063,10 @@ def test_polarity_counts_its_d_searches():
     assert isinstance(rep["d_searches"], int)
     assert rep["d_searches"] == again["d_searches"]
     assert canonical_json(rep) == canonical_json(again)
-    # one search per direction (a) round and one per direction (b) sample
-    n_a, n_b = rep["direction_a"]["checked"], 10
-    assert n_a + n_b <= rep["d_searches"] <= 4 * n_a + n_b
+    # one search per direction (a) direction, rescaled in every round, and one
+    # per direction (b) sample: max(10, n_dir // 2) with n_dir = 12 at 1000 samples
+    assert rep["direction_a"]["checked"] == 12 + 2
+    assert rep["d_searches"] == rep["direction_a"]["checked"] + 10
 
 
 def test_polarity_zero_operator_degenerate():

@@ -91,7 +91,6 @@ def test_eta_one_dimensional_identity():
     rep = TensorRep((((1.0,), (1.0,)),), p=2, p2=2, q=2, q2=1)
     out = build_eta_factorization(rep, ll.Lp(2), ll.Lp(2), trunc_len=2,
                                   budget=500, seed=0)
-    assert out["composition_exact"]
     assert out["product_bound"][0] == pytest.approx(1.0, abs=1e-6)
     assert out["product_bound"][1] == pytest.approx(1.0, abs=1e-6)
     assert out["product_ok"]
@@ -103,7 +102,6 @@ def test_eta_diagonal_recomposes_and_matches_theta():
     out = build_eta_factorization(rep, ll.Lp(2), ll.Lp(2), trunc_len=2,
                                   budget=1200, seed=0)
     assert np.array_equal(out["u_matrix"], np.eye(2))
-    assert out["composition_exact"]
     assert out["oracle_scale"]
     assert out["product_ok"]
     kr, ks = out["product_bound"]
@@ -115,7 +113,6 @@ def test_eta_product_check_skipped_outside_oracle_scale():
                     p=2, p2=math.inf, q=2, q2=1)
     out = build_eta_factorization(rep, ll.Lp(2), ll.Lp(2), trunc_len=2,
                                   budget=400, seed=0)
-    assert out["composition_exact"]
     assert not out["oracle_scale"]
     assert out["product_ok"] is None
 
@@ -143,7 +140,7 @@ def test_eta_factorizes_a_rep_with_one_side_zero(side):
     rep = TensorRep(tuple(((0.0, 0.0), y) if side == "x" else (x, (0.0, 0.0)) for x, y in pairs),
                     p=2, p2=math.inf, q=2, q2=1)
     out = build_eta_factorization(rep, ll.Lp(1.5), ll.Lp(2), trunc_len=3, budget=400, seed=0)
-    assert not out["u_matrix"].any() and out["composition_exact"]
+    assert not out["u_matrix"].any()
     assert out["product_bound"]["xy".index(side)] == 0.0
     assert out["theta"] == 0.0 and out["product_ok"] is True
 
