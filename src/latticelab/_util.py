@@ -4,15 +4,16 @@ and canonical JSON output.
 Everything randomized in this package flows through :func:`rng_for`, which
 hashes an explicit user seed together with string tags into an independent
 stream per task; every searched lower bound climbs with :func:`hill_climb`
-or one of its two exact replays without ``stop``: :func:`climb_lockstep`, many
-climbs as one stack per step, and :func:`climb_ahead`, one climb as one stack
-of all its remaining proposals per accept.  The six searches that draw their
-starts before their first climb (the random-family, partition and
-duality-gap searches of the constants, theta, the Z-body enrichment and the
-multiplier's operator norm) run :func:`climb_starts`, the one driver of
-``climb_lockstep``; ``hill_climb`` itself runs only the embedding checker's
-climb, which needs ``stop``.  Every named verdict reads its tolerance from
-:data:`TOLERANCES`.
+or one of its two exact replays without ``stop``, which score proposals
+ahead of the current point: :func:`climb_lockstep`, many climbs as one stack
+of a window of each one's next proposals per accept round, and
+:func:`climb_ahead`, one climb as one stack of all its remaining proposals
+per accept.  The six searches that draw their starts before their first
+climb (the random-family, partition and duality-gap searches of the
+constants, theta, the Z-body enrichment and the multiplier's operator norm)
+run :func:`climb_starts`, the one driver of ``climb_lockstep``;
+``hill_climb`` itself runs only the embedding checker's climb, which needs
+``stop``.  Every named verdict reads its tolerance from :data:`TOLERANCES`.
 Reports are serialized by :func:`canonical_json` with sorted
 keys and 17-significant-digit floats so identical runs are byte-identical.
 """
@@ -85,21 +86,50 @@ def hill_climb(score, x0, rng, iters, project=None, stop=math.inf):
     return x, best
 
 
-def climb_lockstep(score, x0, best, masks, noise):
-    """Independent hill climbs stepped together: climb b from x0[b], of score
-    best[b], proposes ``masks[b] * (x[b] + step * noise[t, b])``, and ``score``
-    maps the stack of proposals to scores (-inf if inadmissible).  Without
-    ``stop`` a hill climb draws ``iters`` normals of its shape whatever it
-    accepts, so with those draws as noise[:, b] (``standard_normal((iters,) +
-    shape)`` makes them in one call) each climb replays hill_climb projected
-    by its mask exactly.  Returns (points, scores)."""
-    x, best, step = x0.copy(), np.array(best, dtype=float), STEP0
-    for z in noise:
-        prop = masks * (x + step * z)
+def _steps(iters: int, ndim: int) -> np.ndarray:
+    """The step of each of hill_climb's first ``iters`` proposals, shaped to
+    scale a stack of ``ndim`` dimensions row by row."""
+    steps, step = np.empty(iters), STEP0
+    for t in range(iters):
+        steps[t] = step
         step = max(STEP_FLOOR, step * STEP_DECAY)
-        val = score(prop)
-        up = val > best
-        x[up], best[up] = prop[up], val[up]
+    return steps.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def climb_lockstep(score, x0, best, masks, noise):
+    """Independent hill climbs scored together: climb b from x0[b], of score
+    best[b], makes proposal t ``masks[b] * (x[b] + step_t * noise[t, b])``.
+    Without ``stop`` a hill climb draws ``iters`` normals of its shape whatever
+    it accepts, so with those draws as noise[:, b] (``standard_normal((iters,)
+    + shape)`` makes them in one call) each climb replays hill_climb projected
+    by its mask exactly.  x changes only at an accept, so a climb looks ahead:
+    each round, one ``score(stack, climbs)`` call scores each live climb's next
+    proposals in a window (climbs[k] is the climb of stack row k; -inf if
+    inadmissible), and each climb moves to the first that scores strictly
+    higher.  The first window is all ``iters`` proposals; after an accept g
+    proposals in, the next is 2g, and after a window without one it doubles.
+    A window is at most twice the proposals the one before used up, so a climb
+    scores at most 3 * iters rows, in one call per accept round.  Returns
+    (points, scores)."""
+    iters = len(noise)
+    steps = _steps(iters, x0.ndim)
+    x, best = x0.copy(), np.array(best, dtype=float)
+    t, window = np.zeros(len(x0), dtype=int), np.full(len(x0), iters)
+    live = np.flatnonzero(t < iters)
+    while live.size:
+        ends = np.minimum(t[live] + window[live], iters)
+        counts = ends - t[live]
+        climbs = np.repeat(live, counts)
+        s = np.arange(len(climbs)) + np.repeat(t[live] - np.cumsum(counts) + counts, counts)
+        prop = masks[climbs] * (x[climbs] + steps[s] * noise[s, climbs])
+        val = score(prop, climbs)
+        up = np.flatnonzero(val > best[climbs])
+        hit, first = np.unique(climbs[up], return_index=True)  # rows of a climb run in order
+        k = up[first]
+        gaps = s[k] + 1 - t[hit]
+        t[live], window[live] = ends, 2 * window[live]
+        x[hit], best[hit], t[hit], window[hit] = prop[k], val[k], s[k] + 1, 2 * gaps
+        live = live[t[live] < iters]
     return x, best
 
 
@@ -109,10 +139,15 @@ def stack_rows(mats) -> tuple:
     stack = np.zeros((len(mats), counts.max(), *mats[0].shape[1:]))
     for b, mat in enumerate(mats):
         stack[b, :len(mat)] = mat
-    return stack, [(np.flatnonzero(counts == m), m) for m in sorted(set(counts.tolist()))]
+    return stack, _length_groups(counts)
 
 
-# Consecutive climbs step as a group while its padded noise fits in this many
+def _length_groups(counts) -> list:
+    """(indices, m) for each length m in ``counts``, in increasing m."""
+    return [(np.flatnonzero(counts == m), int(m)) for m in np.unique(counts)]
+
+
+# Consecutive climbs run as a group while its padded noise fits in this many
 # bytes, and the stacked D search of convexgeom scores its rows in groups whose
 # candidate stack for one stage fits in it.
 NOISE_BYTES = 1 << 18
@@ -123,16 +158,19 @@ def climb_starts(score, rng, iters: int, starts) -> list:
     :func:`hill_climb` on one start after another, projected by the mask.
     ``starts`` yields (x0, mask, score of x0) lazily, after the previous
     climb's noise, one (iters, m, n) block (none for a -inf start, returned
-    as is).  Groups of climbs step together in :func:`climb_lockstep`, one
-    ``score(stack, groups)`` call a step on a :func:`stack_rows` stack."""
+    as is).  Groups of climbs run together in :func:`climb_lockstep`, one
+    ``score(stack, groups)`` call per accept round on a stack of the climbs'
+    proposal windows, rows of :func:`stack_rows` shape with the (indices, m)
+    length groups rebuilt from the climbs' lengths."""
     out, group, rows = [], [], 0
 
     def run():
         if group:
             x0s, masks, vals, noise, at = zip(*group)
-            X0, groups = stack_rows(x0s)
+            X0, lengths = stack_rows(x0s)[0], np.array([len(x0) for x0 in x0s])
             Z = stack_rows([z.swapaxes(0, 1) for z in noise])[0].transpose(2, 0, 1, 3)
-            X, best = climb_lockstep(lambda P: score(P, groups), X0, vals, stack_rows(masks)[0], Z)
+            X, best = climb_lockstep(lambda P, climbs: score(P, _length_groups(lengths[climbs])),
+                                     X0, vals, stack_rows(masks)[0], Z)
             for b, i in enumerate(at):
                 out[i] = (X[b, :len(x0s[b])], float(best[b]))
             group.clear()
@@ -164,11 +202,7 @@ def climb_ahead(score_rows, project_rows, x0, best, noise):
     from there and ends when none does.  With hill_climb's draws as noise
     (``standard_normal((iters,) + x0.shape)``) it replays hill_climb exactly,
     in accepts + 1 ``score_rows`` calls.  Returns (point, score)."""
-    steps, step = np.empty(len(noise)), STEP0
-    for t in range(len(noise)):
-        steps[t] = step
-        step = max(STEP_FLOOR, step * STEP_DECAY)
-    steps = steps.reshape((-1,) + (1,) * (noise.ndim - 1))
+    steps = _steps(len(noise), noise.ndim)
     x, t = x0, 0
     while t < len(noise):
         prop = project_rows(x + steps[t:] * noise[t:])
@@ -223,11 +257,15 @@ def lp_rows(mat, p: float) -> np.ndarray:
     scalar pow per root (the array pow of ``lp_norm(mat, p, axis=1)`` may round differently)."""
     if p == math.inf or p == 1:
         return lp_norm(mat, p, axis=1)
-    a = np.abs(mat)
+    e = 1.0 / p
     with np.errstate(over="ignore"):  # a row whose power sum overflows is redone below
-        sums = np.add.reduce(a ** p, 1).tolist()
-    return np.array([s ** (1.0 / p) if _TINY <= s < math.inf else float(lp_norm(row, p))
-                     for s, row in zip(sums, a)])
+        sums = np.add.reduce(np.abs(mat) ** p, 1).tolist()
+    out = np.array([s ** e for s in sums])
+    if not (min(sums, default=_TINY) >= _TINY and sum(sums) < math.inf):  # a nan sum fails too
+        for i, s in enumerate(sums):
+            if not _TINY <= s < math.inf:
+                out[i] = lp_norm(mat[i], p)
+    return out
 
 
 def _rescaled(a, p: float, axis, s):

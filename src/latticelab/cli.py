@@ -10,6 +10,7 @@ rides along in the report), 1 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -589,6 +590,7 @@ def _cmd_repro_polarity(args, cfg):
 # parser assembly
 
 
+@functools.cache  # argparse copies the --tol append default, so parses share nothing
 def _build_parser() -> _Parser:
     top = _Parser(prog="lattice-lab",
                   description="Lattice renorming, convexity constant, and "

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from latticelab import cli
 from latticelab.cli import (
     DEFAULT_TOLERANCES,
     RunConfig,
@@ -122,6 +123,15 @@ def test_tolerance_overrides_only_loosen(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["config"]["tolerance_overrides"]["sandwich"] == pytest.approx(1e-6)
+
+
+def test_one_parser_serves_every_command(capsys):
+    # the parser is built once per process: a --tol of one call must not leak into the next
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run_cli(["constants", "gamma", "--p", "2", "--tol", "estimate-one=1e-3"], capsys)
+    assert code == 0 and json.loads(out)["config"]["tolerance_overrides"] == {"estimate-one": 1e-3}
+    code, out, _ = run_cli(["constants", "gamma", "--p", "2"], capsys)
+    assert code == 0 and json.loads(out)["config"]["tolerance_overrides"] == {}
 
 
 def test_config_validation(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import latticelab as ll
+from latticelab import _util, constants
 from latticelab._util import hill_climb, lp_norm, rng_for
 from latticelab.constants import _sphere_grid, set_partitions
 
@@ -315,6 +316,34 @@ def test_estimate_constant_replays_the_sequential_search(monkeypatch, tiny_group
     for T, kind, budget, seed in _replay_cases():
         _assert_same_estimate(ll.estimate_constant(T, kind, budget=budget, seed=seed),
                               _seq_estimate(T, kind, budget, seed))
+
+
+def test_estimate_constant_scores_a_window_per_call(monkeypatch):
+    # the lockstep would make one _ratios call per step of each group, plus one
+    # per start scoring; the windowed driver makes one per accept round
+    calls, steps, inside = [], [], []
+    ratios, lockstep = constants._ratios, _util.climb_lockstep
+
+    def spy_ratios(*args):
+        calls.append(bool(inside))
+        return ratios(*args)
+
+    def spy_lockstep(score, x0, best, masks, noise):
+        steps.append(len(noise))
+        inside.append(True)
+        try:
+            return lockstep(score, x0, best, masks, noise)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(constants, "_ratios", spy_ratios)
+    monkeypatch.setattr(_util, "climb_lockstep", spy_lockstep)
+    T, kind = ll.identity_operator(_lorentz(4, 2.5, 1.0, np.random.default_rng(44))), ll.UpperEstimate(2.5)
+    est = ll.estimate_constant(T, kind, budget=400, seed=3)
+    starts = calls.count(False)
+    assert len(steps) == 2 and starts == 5  # 4 random starts scored one by one, the partitions at once
+    assert len(calls) < sum(steps) + starts
+    _assert_same_estimate(est, _seq_estimate(T, kind, 400, 3))
 
 
 def test_q_convexity_report_replays_the_sequential_search():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latticelab as ll
-from latticelab._util import canonical_json, conjugate
+from latticelab._util import canonical_json, conjugate, lp_norm, lp_rows
 
 CM = ll.AtomicMeasure.counting
 
@@ -37,6 +37,21 @@ def test_lp_norms_scale_past_the_float_range():
     assert got[1:4] == pytest.approx([math.sqrt(2) * 1e200, 0.0, 1e-200], rel=1e-15)
     v = np.array([0.3, 1e-3])
     assert ll.eval_norm(L2, v) == float((v ** 2).sum() ** 0.5)
+
+
+@pytest.mark.filterwarnings("error:overflow encountered")
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.7])
+def test_lp_rows_are_the_one_vector_norms(p):
+    """lp_rows gives each row the bits of lp_norm on that row alone, also for
+    rows whose power sums leave the float range and for zero and nan rows."""
+    rows = np.random.default_rng(3).standard_normal((40, 5))
+    big, tiny, odd = rows.copy(), rows.copy(), rows.copy()
+    big[::7] *= 1e200
+    tiny[3::7] *= 1e-200
+    odd[5], odd[6, 2] = 0.0, math.nan
+    for stack in (rows, big, tiny, odd, big * tiny * odd, rows[:0]):
+        want = np.array([float(lp_norm(row, p)) for row in stack])
+        assert lp_rows(stack, p).tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("error:overflow encountered")

@@ -3,8 +3,10 @@
 import math
 
 import numpy as np
+import pytest
 
-from latticelab._util import climb_ahead, climb_lockstep, hill_climb, rng_for
+from latticelab import _util
+from latticelab._util import climb_ahead, climb_lockstep, climb_starts, hill_climb, rng_for
 
 TARGET = np.array([[0.8, -1.5, 2.0], [-0.3, 1.1, 0.4]])
 MASK = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -110,35 +112,128 @@ def test_scaled_score_takes_the_same_path():
         assert all(np.array_equal(a, b) for a, b in zip(s, s0))
 
 
+class Draws:
+    """A stand-in rng whose standard_normal hands out the given blocks in turn."""
+
+    def __init__(self, blocks):
+        self.blocks = iter(blocks)
+
+    def standard_normal(self, shape):
+        z = next(self.blocks)
+        assert z.shape == shape
+        return z
+
+
+def minus_inf(score, x):
+    """score(x), or -inf where it raises ValueError."""
+    try:
+        return score(x)
+    except ValueError:
+        return -math.inf
+
+
+def _lockstep(score, X0, masks, noise):
+    """(hill_climb's (x, score) of each climb b on the draws noise[:, b],
+    climb_lockstep's (points, scores), the size of each stack it scored)."""
+    want = [hill_climb(score, x0, Draws(noise[:, b]), len(noise), mask.__mul__)
+            for b, (x0, mask) in enumerate(zip(X0, masks))]
+    stacks = []
+
+    def scores(stack, climbs):
+        stacks.append(len(stack))
+        assert np.array_equal(stack, masks[climbs] * stack)  # each row is its own climb's
+        return np.array([minus_inf(score, x) for x in stack])
+
+    got = climb_lockstep(scores, X0, [minus_inf(score, x0) for x0 in X0], masks, noise)
+    return want, got, stacks
+
+
+def _same(want, got):
+    X, best = got
+    for (x, val), xb, vb in zip(want, X, best):
+        assert val == vb and np.array_equal(x, xb)
+
+
 def test_lockstep_replays_each_hill_climb():
     def score(x):
         if x[0, 0] > 0.9:
             raise ValueError("inadmissible")
         return closeness(x)
 
-    def scores(stack):
-        out = []
-        for x in stack:
-            try:
-                out.append(score(x))
-            except ValueError:
-                out.append(-math.inf)
-        return np.array(out)
-
     draw = rng_for(6, "hc")
-    masks = [MASK, np.ones((2, 3)), MASK, np.ones((2, 3))]
-    starts = [mask * 0.3 * draw.standard_normal((2, 3)) for mask in masks]
-    rng = rng_for(7, "hc")
-    want = [hill_climb(score, x0, rng, 80, mask.__mul__) for x0, mask in zip(starts, masks)]
-    # the same draws: each climb's 80 proposals as one block, climb after climb
-    rng = rng_for(7, "hc")
-    noise = np.stack([rng.standard_normal((80, 2, 3)) for _ in starts], axis=1)
-    X0 = np.stack(starts)
-    assert np.all(scores(X0) > -math.inf)  # an inadmissible start draws nothing
-    X, best = climb_lockstep(scores, X0, scores(X0), np.stack(masks), noise)
-    for (x, val), xb, vb in zip(want, X, best):
-        assert val == vb and np.array_equal(x, xb)
-    assert not np.array_equal(X, X0)
+    masks = np.stack([MASK, np.ones((2, 3)), MASK, np.ones((2, 3))])
+    X0 = np.stack([mask * 0.3 * draw.standard_normal((2, 3)) for mask in masks])
+    assert all(minus_inf(score, x0) > -math.inf for x0 in X0)  # an inadmissible start draws nothing
+    rng = rng_for(7, "hc")  # each climb's 80 proposals as one block, climb after climb
+    noise = np.stack([rng.standard_normal((80, 2, 3)) for _ in X0], axis=1)
+    want, got, stacks = _lockstep(score, X0, masks, noise)
+    _same(want, got)
+    assert not np.array_equal(got[0], X0)
+    assert len(stacks) < 80 and stacks[0] == 80 * len(X0)  # the first window is every proposal
+
+    # proposals that score -inf (not raise) are rejected the same way
+    inf_score = lambda x: -math.inf if x[0, 0] > 0.9 else closeness(x)
+    _same(*_lockstep(inf_score, X0, masks, noise)[:2])
+
+
+def test_lockstep_windows_replay_every_and_no_accept():
+    # sum(x) rises at every proposal along positive noise and at none along negative
+    draw, iters = rng_for(9, "hc"), 60
+    signs = np.array([1.0, -1.0, 0.0, 1.0])  # 0: plain normal noise
+    noise = draw.standard_normal((iters, 4, 2, 3))
+    noise[:, signs != 0] = np.abs(noise[:, signs != 0]) * signs[signs != 0, None, None]
+    X0, masks = draw.standard_normal((4, 2, 3)), np.ones((4, 2, 3))
+    total = lambda x: float(np.sum(x))
+    want, got, stacks = _lockstep(total, X0, masks, noise)
+    _same(want, got)
+    assert np.array_equal(got[0][1], X0[1]) and not np.array_equal(got[0][0], X0[0])
+    for b in (0, 3):  # one call per accept round and at most about twice the rows
+        want_b, got_b, stacks_b = _lockstep(total, X0[b:b + 1], masks[:1], noise[:, b:b + 1])
+        _same(want_b, got_b)
+        assert len(stacks_b) == iters and sum(stacks_b) <= 3 * iters
+    want_b, got_b, stacks_b = _lockstep(total, X0[1:2], masks[:1], noise[:, 1:2])
+    _same(want_b, got_b)
+    assert stacks_b == [iters]  # one window: nothing accepted
+    once = noise[:, 1:2].copy()  # one accept, at the first proposal: then windows double
+    once[0] = -once[0]
+    want_b, got_b, stacks_b = _lockstep(total, X0[1:2], masks[:1], once)
+    _same(want_b, got_b)
+    assert not np.array_equal(got_b[0], X0[1:2]) and len(stacks_b) <= 2 + iters.bit_length()
+    _same(*_lockstep(total, X0, masks, noise[:0])[:2])  # no proposals at all
+
+
+@pytest.mark.parametrize("noise_bytes", [1, _util.NOISE_BYTES])
+def test_climb_starts_replays_mixed_lengths(monkeypatch, noise_bytes):
+    monkeypatch.setattr(_util, "NOISE_BYTES", noise_bytes)
+
+    def score(x):  # families of m rows of R^3
+        if not x.any() or x[0, 0] > 1.2:
+            raise ValueError("inadmissible")
+        return -float(np.sum((x - 0.4 * len(x)) ** 2))
+
+    def starts(rng):
+        for m in (1, 3, 2, 3, 1, 2, 2):
+            mask = (rng.random((m, 3)) < 0.7).astype(float)
+            x0 = mask * rng.standard_normal((m, 3))
+            yield x0, mask, minus_inf(score, x0)
+        yield np.zeros((2, 3)), np.ones((2, 3)), -math.inf  # returned as is, nothing drawn
+
+    def stacked(P, groups):
+        out, seen = np.full(len(P), np.nan), []
+        for idx, m in groups:
+            assert not P[idx, m:].any()  # the rows past a family's length are padding
+            out[idx] = [minus_inf(score, P[i, :m]) for i in idx]
+            seen += list(idx)
+        assert sorted(seen) == list(range(len(P)))
+        return out
+
+    rng = rng_for(8, "hc")
+    want = [hill_climb(score, x0, rng, 70, mask.__mul__) for x0, mask, _ in starts(rng)]
+    rng = rng_for(8, "hc")
+    got = climb_starts(stacked, rng, 70, starts(rng))
+    assert len(got) == len(want) and want[-1][1] == -math.inf
+    for (x, val), (xg, vg) in zip(want, got):
+        assert val == vg and x.shape == xg.shape and np.array_equal(x, xg)
 
 
 def _replay(score, x0, iters, seed, project=None):
