@@ -3,19 +3,18 @@ and canonical JSON output.
 
 Everything randomized in this package flows through :func:`rng_for`, which
 hashes an explicit user seed together with string tags into an independent
-stream per task; every searched lower bound climbs with :func:`hill_climb`
-or one of its two exact replays without ``stop``, which score proposals
-ahead of the current point: :func:`climb_lockstep`, many climbs as one stack
-of a window of each one's next proposals per accept round, and
-:func:`climb_ahead`, one climb as one stack of all its remaining proposals
-per accept.  The six searches that draw their starts before their first
-climb (the random-family, partition and duality-gap searches of the
-constants, theta, the Z-body enrichment and the multiplier's operator norm)
-run :func:`climb_starts`, the one driver of ``climb_lockstep``;
-``hill_climb`` itself runs only the embedding checker's climb, which needs
-``stop``.  Every named verdict reads its tolerance from :data:`TOLERANCES`.
-Reports are serialized by :func:`canonical_json` with sorted
-keys and 17-significant-digit floats so identical runs are byte-identical.
+stream per task; every searched lower bound climbs by the rule of
+:func:`hill_climb`.  Its one exact replay without ``stop``,
+:func:`climb_lockstep`, scores many climbs as one stack of a window of each
+one's next proposals per accept round; it runs the six searches that draw
+their starts before their first climb (the random-family, partition and
+duality-gap searches of the constants, theta, the Z-body enrichment and the
+multiplier's operator norm) through their one driver :func:`climb_starts`,
+and the D-search polish of convexgeom.  ``hill_climb`` itself runs only the
+embedding checker's climb, which needs ``stop``.  Every named verdict reads
+its tolerance from :data:`TOLERANCES`.  Reports are serialized by
+:func:`canonical_json` with sorted keys and 17-significant-digit floats so
+identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -58,13 +57,13 @@ STEP0, STEP_DECAY, STEP_FLOOR = 0.5, 0.99, 0.02
 
 
 def hill_climb(score, x0, rng, iters, project=None, stop=math.inf):
-    """Seeded perturbation ascent, the one search loop behind every searched
-    lower bound.  Each of at most ``iters`` proposals is
+    """Seeded perturbation ascent, the climb rule of every searched lower
+    bound.  Each of at most ``iters`` proposals is
     ``project(x + step * N(0, I))`` and replaces x only if it scores strictly
     higher.  A ValueError from ``score`` rejects the proposal (an inadmissible
     start scores -inf and is returned as is, with nothing drawn), and the
     climb ends once the score exceeds ``stop``.  Returns (point, score).
-    :func:`climb_lockstep` and :func:`climb_ahead` replay it without ``stop``."""
+    :func:`climb_lockstep` replays it without ``stop``."""
     try:
         best = score(x0)
     except ValueError:
@@ -96,21 +95,22 @@ def _steps(iters: int, ndim: int) -> np.ndarray:
     return steps.reshape((-1,) + (1,) * (ndim - 1))
 
 
-def climb_lockstep(score, x0, best, masks, noise):
+def climb_lockstep(score, x0, best, project, noise):
     """Independent hill climbs scored together: climb b from x0[b], of score
-    best[b], makes proposal t ``masks[b] * (x[b] + step_t * noise[t, b])``.
-    Without ``stop`` a hill climb draws ``iters`` normals of its shape whatever
-    it accepts, so with those draws as noise[:, b] (``standard_normal((iters,)
-    + shape)`` makes them in one call) each climb replays hill_climb projected
-    by its mask exactly.  x changes only at an accept, so a climb looks ahead:
+    best[b], makes proposal t ``project(x[b] + step_t * noise[t, b])``, one
+    ``project(stack, climbs)`` call projecting a stack of proposals (climbs[k]
+    is the climb of stack row k).  Without ``stop`` a hill climb draws
+    ``iters`` normals of its shape whatever it accepts, so with those draws as
+    noise[:, b] (``standard_normal((iters,) + shape)`` makes them in one call;
+    climbs may share them through a broadcast view) each climb replays
+    hill_climb exactly.  x changes only at an accept, so a climb looks ahead:
     each round, one ``score(stack, climbs)`` call scores each live climb's next
-    proposals in a window (climbs[k] is the climb of stack row k; -inf if
-    inadmissible), and each climb moves to the first that scores strictly
-    higher.  The first window is all ``iters`` proposals; after an accept g
-    proposals in, the next is 2g, and after a window without one it doubles.
-    A window is at most twice the proposals the one before used up, so a climb
-    scores at most 3 * iters rows, in one call per accept round.  Returns
-    (points, scores)."""
+    proposals in a window (-inf if inadmissible), and each climb moves to the
+    first that scores strictly higher.  The first window is all ``iters``
+    proposals; after an accept g proposals in, the next is 2g, and after a
+    window without one it doubles.  A window is at most twice the proposals
+    the one before used up, so a climb scores at most 3 * iters rows, in one
+    call per accept round.  Returns (points, scores)."""
     iters = len(noise)
     steps = _steps(iters, x0.ndim)
     x, best = x0.copy(), np.array(best, dtype=float)
@@ -121,7 +121,7 @@ def climb_lockstep(score, x0, best, masks, noise):
         counts = ends - t[live]
         climbs = np.repeat(live, counts)
         s = np.arange(len(climbs)) + np.repeat(t[live] - np.cumsum(counts) + counts, counts)
-        prop = masks[climbs] * (x[climbs] + steps[s] * noise[s, climbs])
+        prop = project(x[climbs] + steps[s] * noise[s, climbs], climbs)
         val = score(prop, climbs)
         up = np.flatnonzero(val > best[climbs])
         hit, first = np.unique(climbs[up], return_index=True)  # rows of a climb run in order
@@ -169,8 +169,9 @@ def climb_starts(score, rng, iters: int, starts) -> list:
             x0s, masks, vals, noise, at = zip(*group)
             X0, lengths = stack_rows(x0s)[0], np.array([len(x0) for x0 in x0s])
             Z = stack_rows([z.swapaxes(0, 1) for z in noise])[0].transpose(2, 0, 1, 3)
+            M = stack_rows(masks)[0]
             X, best = climb_lockstep(lambda P, climbs: score(P, _length_groups(lengths[climbs])),
-                                     X0, vals, stack_rows(masks)[0], Z)
+                                     X0, vals, lambda P, climbs: M[climbs] * P, Z)
             for b, i in enumerate(at):
                 out[i] = (X[b, :len(x0s[b])], float(best[b]))
             group.clear()
@@ -192,26 +193,6 @@ def climb_starts(score, rng, iters: int, starts) -> list:
 def best_climb(climbs, floor=-math.inf) -> tuple:
     """(score, point) of the first climb of highest score; (floor, None) if none beats floor."""
     return max([(floor, None), *((val, x) for x, val in climbs)], key=lambda t: t[0])
-
-
-def climb_ahead(score_rows, project_rows, x0, best, noise):
-    """One hill climb without ``stop`` from x0, of score best, that scores all
-    its remaining proposals ``project_rows(x + step_s * noise[s])``, s >= t,
-    as one stack (-inf if inadmissible) and moves to the first that scores
-    strictly higher, the one hill_climb accepts next; it looks ahead again
-    from there and ends when none does.  With hill_climb's draws as noise
-    (``standard_normal((iters,) + x0.shape)``) it replays hill_climb exactly,
-    in accepts + 1 ``score_rows`` calls.  Returns (point, score)."""
-    steps = _steps(len(noise), noise.ndim)
-    x, t = x0, 0
-    while t < len(noise):
-        prop = project_rows(x + steps[t:] * noise[t:])
-        val = score_rows(prop)
-        up = np.flatnonzero(val > best)
-        if not up.size:
-            break
-        x, best, t = prop[up[0]], val[up[0]], t + int(up[0]) + 1
-    return x, best
 
 
 def conjugate(p: float) -> float:

@@ -22,7 +22,7 @@ from scipy.optimize import linprog  # noqa: F401
 from scipy.spatial import HalfspaceIntersection, QhullError
 
 from . import _util
-from ._util import climb_ahead, conjugate, lp_norm, rng_for
+from ._util import conjugate, lp_norm, rng_for
 from .core import (
     GaugeOf,
     LatticeSchemaError,
@@ -619,6 +619,29 @@ def _sigma_tight(raw: np.ndarray, U: np.ndarray, sigma_p: float) -> np.ndarray:
     return c * scale[:, :, None, :]
 
 
+def _polish(T: LinOperator, Ug: np.ndarray, tau, sigma_p: float, parts: np.ndarray,
+            noise: np.ndarray) -> tuple:
+    """The hill-climb polish of each row u of the (G, n) stack Ug from its
+    (m, n) parts in the (G, m, n) stack ``parts``: the multipliers
+    c = parts / u climb together in one :func:`_util.climb_lockstep`, all on
+    the (iters, m, n) ``noise``, each proposal's columns put back into the
+    sigma-ball and zeroed off the support of u.  Returns the value of each
+    row's climb and its parts c o u."""
+    U3 = Ug[:, None, :]
+    supp = U3 != 0
+    C0 = np.divide(parts, U3, out=np.zeros_like(parts), where=supp)
+
+    def score(C, climbs):
+        return _decomposition_values(T, tau, (C * U3[climbs]) @ T.matrix.T)
+
+    def project(C, climbs):
+        return C / np.maximum(lp_norm(C, sigma_p, axis=1), 1.0)[:, None, :] * supp[climbs]
+
+    shared = np.broadcast_to(noise[:, None], (len(noise),) + C0.shape)
+    C, vals = _util.climb_lockstep(score, C0, score(C0, np.arange(len(Ug))), project, shared)
+    return vals, C * U3
+
+
 def _d_search_rows(T: LinOperator, U: np.ndarray, tau, plan: tuple) -> tuple:
     """(best, best_parts) of the search behind :func:`search_D_violation` on
     each row u of a checked (N, n) float stack U, with the stacks and draws of
@@ -626,52 +649,43 @@ def _d_search_rows(T: LinOperator, U: np.ndarray, tau, plan: tuple) -> tuple:
     best <= 1 and None when no decomposition scores above 0.  Each candidate
     stage scores the nonzero rows in groups whose (K, m, max(n, d)) stacks fit
     in ``_util.NOISE_BYTES`` (one row at least), one stacked call per group;
-    the polish climbs row by row.  A row's result is the one-row search's, bit
-    for bit."""
+    the polish climbs the rows whose best decomposition has m parts in groups
+    bounded alike (K the m-part noise's proposals), one :func:`_polish` per
+    group and m.  A row's result is the one-row search's, bit for bit."""
     sigma_p, rows, grid, vertices, draws, polish = plan
     n = U.shape[1]
     best, best_parts = [0.0] * len(U), [None] * len(U)
     live = np.flatnonzero(np.any(U != 0, axis=1))
 
-    def stage(score, cands):  # cands: the K * m decomposition parts scored per row
+    def stage(score, cands, at=live):  # cands: the K * m decomposition parts scored per row
         size = max(1, _util.NOISE_BYTES // (cands * max(n, T.codomain.dim) * 8))
-        for start in range(0, len(live), size):
-            at = live[start:start + size]
-            vals, parts = score(U[at])
-            for i, val, part in zip(at, vals.tolist(), parts):
+        for start in range(0, len(at), size):
+            group = at[start:start + size]
+            vals, parts = score(group)
+            for i, val, part in zip(group, vals.tolist(), parts):
                 if val > best[i]:
                     best[i], best_parts[i] = val, part
 
     # no-split candidates (m = 1, |c| <= 1 entrywise; vertices suffice)
-    stage(lambda Ug: _best_decomposition(T, Ug, tau, rows), len(rows))
+    stage(lambda g: _best_decomposition(T, U[g], tau, rows), len(rows))
     if grid is not None:
         # exhaustive two-part decompositions on a per-coordinate split grid
         opts, (_, reps) = grid
-        stage(lambda Ug: _best_grid_decomposition(T, Ug, tau, *grid), 2 * len(reps) * len(opts) ** (n - 1))
+        stage(lambda g: _best_grid_decomposition(T, U[g], tau, *grid),
+              2 * len(reps) * len(opts) ** (n - 1))
     for C in vertices:
-        stage(lambda Ug, C=C: _best_decomposition(T, Ug, tau, C), C.shape[0] * C.shape[1])
+        stage(lambda g, C=C: _best_decomposition(T, U[g], tau, C), C.shape[0] * C.shape[1])
     # random decompositions, one stacked draw for each part count m
     for raw in draws:
-        stage(lambda Ug, raw=raw: _best_decomposition(T, Ug, tau, _sigma_tight(raw, Ug, sigma_p)),
+        stage(lambda g, raw=raw: _best_decomposition(T, U[g], tau, _sigma_tight(raw, U[g], sigma_p)),
               raw.shape[0] * raw.shape[1])
-    # local polish on each row's best decomposition
-    for i in live:
-        if best_parts[i] is None or len(best_parts[i]) == 1:
-            continue
-        u = U[i]
-        supp = u != 0
-        c0 = np.divide(best_parts[i], u, out=np.zeros_like(best_parts[i]), where=supp)
-
-        def score_rows(C):
-            return _decomposition_values(T, tau, (C * u) @ T.matrix.T)
-
-        def project_rows(C):  # columns back into the sigma-ball, zero off the support
-            return C / np.maximum(lp_norm(C, sigma_p, axis=1), 1.0)[:, None, :] * supp
-
-        c, val = climb_ahead(score_rows, project_rows, c0, float(score_rows(c0[None])[0]),
-                             polish[len(c0)])
-        if val > best[i]:
-            best[i], best_parts[i] = float(val), c * u
+    # local polish of each row's best decomposition of 2..4 parts
+    for m, noise in polish.items():
+        at = np.array([i for i in live if best_parts[i] is not None and len(best_parts[i]) == m],
+                      dtype=int)
+        stage(lambda g, noise=noise: _polish(T, U[g], tau, sigma_p,
+                                             np.stack([best_parts[i] for i in g]), noise),
+              max(1, len(noise)) * m, at)
     return best, best_parts
 
 
@@ -695,12 +709,12 @@ def search_D_violation(T: LinOperator, u, tau: SymmetricSeqNorm, sigma: Symmetri
     per coordinate and summed by broadcasting; for sigma = inf the +-1
     vertices of 2-4 parts; max(16, budget // 8) random decompositions, drawn
     as one block per part count m in 1..4 (all stacks and draws are one
-    :func:`_d_plan`); then a hill-climb polish of the best one, one stack per
-    accepted proposal (:func:`_util.climb_ahead`).  The split grid scores one
-    row or a few per orbit of part negations and the part swap (5,120 of its
-    32,768 rows at n = 3), all of the same value, and returns the first
-    maximizer of the full grid, so the search's result is the one the full
-    grid gives.  No multiplier depends on |u|, so the search is positively
+    :func:`_d_plan`); then a hill-climb polish of the best one
+    (:func:`_polish`, one :func:`_util.climb_lockstep` window of proposals
+    per accept round).  The split grid scores one row or a few per orbit of
+    part negations and the part swap (5,120 of its 32,768 rows at n = 3), all
+    of the same value, and returns the first maximizer of the full grid, so
+    the search's result is the one the full grid gives.  No multiplier depends on |u|, so the search is positively
     homogeneous: rho at s u is s times rho at u, with the parts scaled by s,
     which both directions of :func:`verify_polarity` rely on."""
     u = as_vector(u)

@@ -328,11 +328,11 @@ def test_estimate_constant_scores_a_window_per_call(monkeypatch):
         calls.append(bool(inside))
         return ratios(*args)
 
-    def spy_lockstep(score, x0, best, masks, noise):
+    def spy_lockstep(score, x0, best, project, noise):
         steps.append(len(noise))
         inside.append(True)
         try:
-            return lockstep(score, x0, best, masks, noise)
+            return lockstep(score, x0, best, project, noise)
         finally:
             inside.pop()
 

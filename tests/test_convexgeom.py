@@ -953,6 +953,49 @@ def test_polarity_report_matches_the_per_call_search(monkeypatch):
     assert canonical_json(rep) == canonical_json(want)
 
 
+@pytest.mark.parametrize("noise_bytes", [None, 40 * 4 * 2 * 8 * 5])
+def test_polarity_polish_climbs_its_rows_together(monkeypatch, noise_bytes):
+    # the op_q1_2 report input, whose 24 polishes are 4-part and mostly
+    # accept: the polish makes one climb_lockstep call per part count and row
+    # group (groups of 5 4-part rows under the smaller byte bound), each climb
+    # scores at most 3 * iters rows, and the report is the per-call search's
+    import latticelab._util as util
+    import latticelab.convexgeom as cg
+
+    if noise_bytes is not None:
+        monkeypatch.setattr(util, "NOISE_BYTES", noise_bytes)
+    X = ll.lattice_from_dict({"dim": 2, "norm": {"kind": "lorentz_q1", "q": 2.5, "weights": [1.0, 0.6]}})
+    T = ll.LinOperator(np.array([[1.0, -0.6], [0.35, 0.9]]), X, lp_lattice(2, 2))
+    tau, sigma = ll.SymmetricSeqNorm(2.0), ll.SymmetricSeqNorm(1.5)
+    lockstep, calls = util.climb_lockstep, []
+
+    def spy(score, x0, best, project, noise):
+        rows = np.zeros(len(x0), dtype=int)
+
+        def counted(P, climbs):
+            np.add.at(rows, climbs, 1)
+            return score(P, climbs)
+
+        X, vals = lockstep(counted, x0, best, project, noise)
+        calls.append((x0.shape[1], len(x0), len(noise), rows, int(np.sum(np.any(X != x0, axis=(1, 2))))))
+        return X, vals
+
+    monkeypatch.setattr(util, "climb_lockstep", spy)
+    rep = ll.verify_polarity(T, tau, sigma, sample_count=1500, seed=0)
+    for m in (2, 3, 4):  # polishes of 40 proposals on R^2
+        size = max(1, util.NOISE_BYTES // (40 * m * 2 * 8))
+        groups = [rows for parts, rows, *_ in calls if parts == m]
+        assert len(groups) == -(-sum(groups) // size) and max(groups, default=0) <= size
+    fours = [c for c in calls if c[0] == 4]
+    assert sum(c[1] for c in fours) == 24 and sum(c[4] for c in fours) > 12  # most accept
+    assert all(iters == 40 and np.all(rows <= 3 * iters) for _, _, iters, rows, _ in calls)
+
+    tau_d, sigma_d = ll.sigma_dual(tau), ll.sigma_dual(sigma)
+    monkeypatch.setattr(cg, "_d_search_rows", lambda A, U, t, plan: tuple(
+        map(list, zip(*(_d_search_per_call(A, u, tau_d, sigma_d, 400, 0) for u in U)))))
+    assert canonical_json(rep) == canonical_json(ll.verify_polarity(T, tau, sigma, sample_count=1500, seed=0))
+
+
 def test_polarity_direction_a_rounds_match_a_fresh_search(monkeypatch):
     # direction (a) checks u* = w / s in every round as rho(w) / s, enriching
     # with the parts / s: each round's verdict and enrichment are those of a

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latticelab import _util
-from latticelab._util import climb_ahead, climb_lockstep, climb_starts, hill_climb, rng_for
+from latticelab._util import climb_lockstep, climb_starts, hill_climb, rng_for
 
 TARGET = np.array([[0.8, -1.5, 2.0], [-0.3, 1.1, 0.4]])
 MASK = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -144,7 +144,8 @@ def _lockstep(score, X0, masks, noise):
         assert np.array_equal(stack, masks[climbs] * stack)  # each row is its own climb's
         return np.array([minus_inf(score, x) for x in stack])
 
-    got = climb_lockstep(scores, X0, [minus_inf(score, x0) for x0 in X0], masks, noise)
+    got = climb_lockstep(scores, X0, [minus_inf(score, x0) for x0 in X0],
+                         lambda P, climbs: masks[climbs] * P, noise)
     return want, got, stacks
 
 
@@ -236,27 +237,36 @@ def test_climb_starts_replays_mixed_lengths(monkeypatch, noise_bytes):
         assert val == vg and x.shape == xg.shape and np.array_equal(x, xg)
 
 
-def _replay(score, x0, iters, seed, project=None):
-    """(hill_climb's result, climb_ahead's result on the same draws, the
-    proposals hill_climb accepted, the stack sizes climb_ahead scored)."""
-    recorded, seen = recording(score)
-    want = hill_climb(recorded, x0, rng_for(seed, "ahead"), iters, project)
-    accepts, best = 0, seen[0][1]
-    for _, v in seen[1:]:
-        if v > best:
-            accepts, best = accepts + 1, v
-    stacks = []
+def _replay(score, x0, iters, seeds, project=None):
+    """(hill_climb's result from x0 on the draws of each seed, climb_lockstep's
+    result on all of them as one stack of climbs projected by ``project``, the
+    proposals each hill_climb accepted, the rows of each climb climb_lockstep
+    scored, the stack sizes it scored)."""
+    want, accepts = [], []
+    for seed in seeds:
+        recorded, seen = recording(score)
+        want.append(hill_climb(recorded, x0, rng_for(seed, "ahead"), iters, project))
+        count, best = 0, seen[0][1]
+        for _, v in seen[1:]:
+            if v > best:
+                count, best = count + 1, v
+        accepts.append(count)
+    rows, stacks = np.zeros(len(seeds), dtype=int), []
 
-    def score_rows(stack):
+    def scores(stack, climbs):
         stacks.append(len(stack))
+        np.add.at(rows, climbs, 1)
         return np.array([score(x) for x in stack])
 
-    noise = rng_for(seed, "ahead").standard_normal((iters,) + x0.shape)
-    got = climb_ahead(score_rows, project or (lambda stack: stack), x0, score(x0), noise)
-    return want, got, accepts, stacks
+    noise = np.stack([rng_for(seed, "ahead").standard_normal((iters,) + x0.shape) for seed in seeds],
+                     axis=1)
+    X0 = np.stack([x0] * len(seeds))
+    got = climb_lockstep(scores, X0, [score(x0)] * len(seeds),
+                         lambda P, climbs: P if project is None else project(P), noise)
+    return want, got, accepts, rows, stacks
 
 
-def test_climb_ahead_replays_hill_climb():
+def test_lockstep_with_a_projection_replays_hill_climb():
     far = np.full((2, 3), 40.0)
 
     def rounded(x):  # many proposals tie the current score
@@ -277,15 +287,18 @@ def test_climb_ahead_replays_hill_climb():
         (closeness, np.zeros((2, 3)), 1, None, None),
         (lambda x: -float(np.sum((x - 1.5) ** 2)), np.zeros(4), 150, None, None),
     ]
-    for seed in range(4):
-        for score, x0, iters, project, acceptance in cases:
-            (x, val), (xa, va), accepts, stacks = _replay(score, x0, iters, seed, project)
-            assert np.array_equal(x, xa) and np.array_equal(val, va, equal_nan=True)
-            assert accepts <= len(stacks) <= accepts + 1 and sum(stacks) <= iters * (accepts + 1)
-            if acceptance == "high":
-                assert accepts > iters // 3
-            elif acceptance == "none":
-                assert accepts == 0 and x is x0
+    seeds = range(4)  # four climbs in one stack
+    for score, x0, iters, project, acceptance in cases:
+        want, (X, best), accepts, rows, stacks = _replay(score, x0, iters, seeds, project)
+        for (x, val), xb, vb in zip(want, X, best):
+            assert np.array_equal(x, xb) and np.array_equal(val, vb, equal_nan=True)
+        # every round uses up at least one proposal of each live climb
+        assert np.all(rows <= 3 * iters) and len(stacks) <= iters
+        if acceptance == "high":
+            assert min(accepts) > iters // 3
+        elif acceptance == "none":
+            assert max(accepts) == 0 and all(x is x0 for x, _ in want)
+            assert np.array_equal(X, np.stack([x0] * len(seeds)))
     # the tie and nan cases accept something, so their rejections are tested
     for score in (cases[2][0], cases[3][0]):
-        assert _replay(score, np.zeros((2, 3)), 150, 0)[2] > 0
+        assert min(_replay(score, np.zeros((2, 3)), 150, seeds)[2]) > 0
